@@ -25,7 +25,7 @@ use crate::spill::{SpillCodec, SpillError, SpillSegment, SpillStore};
 use parking_lot::Mutex;
 use psgl_graph::partition::HashPartitioner;
 use psgl_graph::VertexId;
-use psgl_obs::Value as TraceValue;
+use psgl_obs::{CounterTable, Value as TraceValue};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -53,7 +53,7 @@ pub struct BspConfig {
     /// [`PoolExhausted`](crate::chunk::PoolExhausted) condition and
     /// senders degrade by growing their current chunk instead of
     /// allocating. Exhaustion events surface in
-    /// [`EngineMetrics::pool_exhausted`]. `None` = unbounded (default).
+    /// [`CarriedCounters::pool_exhausted`]. `None` = unbounded (default).
     pub max_live_chunks: Option<u64>,
     /// With [`BspConfig::steal`] on, cap the units one worker may steal
     /// per superstep. Production leaves this `None` (steal until dry); the
@@ -475,7 +475,7 @@ impl<M, S, A> CancelledRun<M, S, A> {
             frontier,
             worker_states: self.worker_states,
             aggregate: self.aggregate,
-            carried: CarriedCounters::of(&self.metrics),
+            carried: self.metrics.counters,
             prior_supersteps: self.metrics.supersteps,
         })
     }
@@ -1359,21 +1359,21 @@ fn finalize_metrics<M>(
 ) {
     metrics.chunk_allocations = pool.fresh_allocations();
     metrics.chunk_reuses = pool.reuses();
-    metrics.pool_exhausted = carried.pool_exhausted + pool.exhausted_events();
     metrics.chunks_outstanding = pool.outstanding();
-    metrics.chunks_live_peak = carried.chunks_live_peak.max(pool.peak_outstanding());
-    metrics.spill_chunks = carried.spill_chunks;
-    metrics.spill_bytes = carried.spill_bytes;
-    metrics.spill_stall_nanos = carried.spill_stall_nanos;
-    metrics.readmitted_chunks = carried.readmitted_chunks;
-    metrics.spill_write_failures = carried.spill_write_failures;
+    let mut slice = CarriedCounters {
+        pool_exhausted: pool.exhausted_events(),
+        chunks_live_peak: pool.peak_outstanding(),
+        ..CarriedCounters::default()
+    };
     if let Some(sp) = spill {
-        metrics.spill_chunks += sp.store.spilled_chunks();
-        metrics.spill_bytes += sp.store.spilled_bytes();
-        metrics.spill_stall_nanos += sp.store.stall_nanos();
-        metrics.readmitted_chunks += sp.store.readmitted();
-        metrics.spill_write_failures += sp.store.write_failures();
+        slice.spill_chunks = sp.store.spilled_chunks();
+        slice.spill_bytes = sp.store.spilled_bytes();
+        slice.spill_stall_nanos = sp.store.stall_nanos();
+        slice.readmitted_chunks = sp.store.readmitted();
+        slice.spill_write_failures = sp.store.write_failures();
     }
+    metrics.counters = *carried;
+    metrics.counters.merge(&slice);
     debug_assert_balanced(pool);
     metrics.wall_time = start.elapsed();
 }
@@ -1573,7 +1573,7 @@ fn run_worker<P: VertexProgram>(
         chunks_stolen,
         bytes_exchanged: (ctx.messages_out - ctx.local_delivered) * tuple_bytes,
         cost: ctx.cost,
-        elapsed: started.elapsed(),
+        elapsed_nanos: started.elapsed().as_nanos() as u64,
     };
     (wm, local_aggregate)
 }
@@ -1732,7 +1732,7 @@ mod tests {
         let p = HashPartitioner::new(3);
         let res = run(g.num_vertices(), &p, &prog, &config).unwrap();
         assert_eq!(prog.labels.into_inner(), base);
-        assert!(res.metrics.pool_exhausted > 0, "the tiny cap must be hit");
+        assert!(res.metrics.counters.pool_exhausted > 0, "the tiny cap must be hit");
         assert_eq!(res.metrics.chunks_outstanding, 0, "clean shutdown releases every chunk");
     }
 
@@ -1742,7 +1742,7 @@ mod tests {
         let prog = MinLabel { graph: &g, labels: Mutex::new(g.vertices().collect()) };
         let p = HashPartitioner::new(2);
         let res = run(g.num_vertices(), &p, &prog, &BspConfig::default()).unwrap();
-        assert_eq!(res.metrics.pool_exhausted, 0);
+        assert_eq!(res.metrics.counters.pool_exhausted, 0);
         assert_eq!(res.metrics.chunks_outstanding, 0);
     }
 
@@ -1763,7 +1763,7 @@ mod tests {
         // Final superstep emits nothing.
         assert_eq!(m.supersteps.last().unwrap().messages_out(), 0);
         assert!(m.simulated_makespan() > 0);
-        assert!(m.total_cost() >= m.simulated_makespan());
+        assert!(m.total_workers().cost >= m.simulated_makespan());
     }
 
     #[test]
@@ -1773,10 +1773,10 @@ mod tests {
         let p = HashPartitioner::new(1);
         let res = run(g.num_vertices(), &p, &prog, &BspConfig::default()).unwrap();
         let m = &res.metrics;
-        assert!(m.total_messages() > 0);
-        assert_eq!(m.total_local_delivered(), m.total_messages());
+        assert!(m.total_workers().messages_out > 0);
+        assert_eq!(m.total_workers().local_delivered, m.total_workers().messages_out);
         assert_eq!(m.local_delivery_ratio(), 1.0);
-        assert_eq!(m.total_bytes_exchanged(), 0);
+        assert_eq!(m.total_workers().bytes_exchanged, 0);
     }
 
     #[test]
@@ -1786,11 +1786,14 @@ mod tests {
         let p = HashPartitioner::new(3);
         let res = run(g.num_vertices(), &p, &prog, &BspConfig::default()).unwrap();
         let m = &res.metrics;
-        let local = m.total_local_delivered();
+        let local = m.total_workers().local_delivered;
         assert!(local > 0, "a 3-way partition keeps some edges worker-local");
-        assert!(local < m.total_messages(), "and cuts some edges");
+        assert!(local < m.total_workers().messages_out, "and cuts some edges");
         let tuple = std::mem::size_of::<(VertexId, VertexId)>() as u64;
-        assert_eq!(m.total_bytes_exchanged(), (m.total_messages() - local) * tuple);
+        assert_eq!(
+            m.total_workers().bytes_exchanged,
+            (m.total_workers().messages_out - local) * tuple
+        );
         let ratio = m.local_delivery_ratio();
         assert!(ratio > 0.0 && ratio < 1.0, "ratio {ratio}");
     }
@@ -1901,7 +1904,7 @@ mod tests {
         let res = run(n, &p, &prog, &config).unwrap();
         assert_eq!(res.worker_states.iter().sum::<u64>(), n as u64);
         assert!(
-            res.metrics.total_chunks_stolen() > 0,
+            res.metrics.total_workers().chunks_stolen > 0,
             "idle workers should claim units from the hot worker"
         );
         // With stealing off every unit stays with its owner.
@@ -1909,7 +1912,7 @@ mod tests {
         let prog = Hotspot { targets };
         let res = run(n, &p, &prog, &config).unwrap();
         assert_eq!(res.worker_states.iter().sum::<u64>(), n as u64);
-        assert_eq!(res.metrics.total_chunks_stolen(), 0);
+        assert_eq!(res.metrics.total_workers().chunks_stolen, 0);
         // All message work landed on worker 0.
         assert_eq!(res.worker_states[0], n as u64);
     }
@@ -2004,7 +2007,7 @@ mod tests {
         let p = HashPartitioner::new(2);
         let res = run(0, &p, &Panicker, &BspConfig::default()).unwrap();
         assert_eq!(res.metrics.superstep_count(), 1);
-        assert_eq!(res.metrics.total_messages(), 0);
+        assert_eq!(res.metrics.total_workers().messages_out, 0);
     }
 
     #[test]
@@ -2127,8 +2130,8 @@ mod tests {
                 "superstep {s} message curve"
             );
         }
-        assert_eq!(res.metrics.total_messages(), full.total_messages());
-        assert_eq!(res.metrics.total_cost(), full.total_cost());
+        assert_eq!(res.metrics.total_workers().messages_out, full.total_workers().messages_out);
+        assert_eq!(res.metrics.total_workers().cost, full.total_workers().cost);
         assert_eq!(res.metrics.chunks_outstanding, 0);
     }
 
@@ -2299,10 +2302,13 @@ mod tests {
         let store = SpillStore::create(&SpillConfig::in_temp()).unwrap();
         let (labels, m) = run_min_label_spilling(&g, 3, &config, &store);
         assert_eq!(labels, base, "spilling must not change any label");
-        assert!(m.spill_chunks > 0, "the tiny cap must force eviction");
-        assert_eq!(m.readmitted_chunks, m.spill_chunks, "every segment comes back");
-        assert!(m.spill_bytes > 0);
-        assert!(m.chunks_live_peak > 0);
+        assert!(m.counters.spill_chunks > 0, "the tiny cap must force eviction");
+        assert_eq!(
+            m.counters.readmitted_chunks, m.counters.spill_chunks,
+            "every segment comes back"
+        );
+        assert!(m.counters.spill_bytes > 0);
+        assert!(m.counters.chunks_live_peak > 0);
         assert_eq!(m.chunks_outstanding, 0, "clean shutdown releases every chunk");
         assert_eq!(store.live_bytes(), 0, "no blobs outlive the run");
     }
@@ -2338,8 +2344,8 @@ mod tests {
         let store = SpillStore::create(&SpillConfig { faults, ..SpillConfig::in_temp() }).unwrap();
         let (labels, m) = run_min_label_spilling(&g, 3, &config, &store);
         assert_eq!(labels, base, "a full disk degrades the run, never corrupts it");
-        assert_eq!(m.spill_chunks, 0, "no write ever succeeded");
-        assert!(m.pool_exhausted > 0, "the run still grew past the cap in place");
+        assert_eq!(m.counters.spill_chunks, 0, "no write ever succeeded");
+        assert!(m.counters.pool_exhausted > 0, "the run still grew past the cap in place");
     }
 
     #[test]
@@ -2363,7 +2369,7 @@ mod tests {
             RunOutcome::Cancelled(c) => {
                 assert_eq!(c.reason, CancelReason::Deadline);
                 assert!(c.frontier.is_none(), "hard cancels capture no frontier");
-                assert!(c.metrics.spill_chunks > 0, "the frontier was spilling when cut");
+                assert!(c.metrics.counters.spill_chunks > 0, "the frontier was spilling when cut");
                 assert_eq!(c.metrics.chunks_outstanding, 0);
             }
             RunOutcome::Complete(_) => panic!("expected deadline cancellation"),
@@ -2394,7 +2400,7 @@ mod tests {
             RunOutcome::Cancelled(c) => c,
             RunOutcome::Complete(_) => panic!("run should hit the superstep deadline"),
         };
-        let spilled_before_cut = cancelled.metrics.spill_chunks;
+        let spilled_before_cut = cancelled.metrics.counters.spill_chunks;
         assert!(spilled_before_cut > 0, "the frontier was spilling when cut");
         assert_eq!(store.live_bytes(), 0, "checkpoint capture re-admits every segment");
         let resume = cancelled.into_resume_point().expect("checkpointed cancel resumes");
@@ -2407,7 +2413,7 @@ mod tests {
             RunOutcome::Complete(r) => {
                 assert_eq!(r.metrics.chunks_outstanding, 0);
                 assert!(
-                    r.metrics.spill_chunks >= spilled_before_cut,
+                    r.metrics.counters.spill_chunks >= spilled_before_cut,
                     "carried counters keep the pre-cut spill volume"
                 );
             }

@@ -6,63 +6,55 @@
 //! `T = Σ_s max_k L_{ks}` that the engine reports as
 //! [`EngineMetrics::simulated_makespan`].
 
+use psgl_obs::CounterTable;
 use std::time::Duration;
 
-/// Metrics for one worker within one superstep.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WorkerSuperstepMetrics {
-    /// Vertices the program ran on.
-    pub active_vertices: u64,
-    /// Messages consumed this superstep (own units plus stolen ones).
-    pub messages_in: u64,
-    /// Messages produced this superstep.
-    pub messages_out: u64,
-    /// Of `messages_out`, how many were addressed to this worker's own
-    /// vertices and took the local fast path past the exchange.
-    pub local_delivered: u64,
-    /// Message units this worker claimed from *other* workers' queues.
-    pub chunks_stolen: u64,
-    /// Bytes of `(VertexId, M)` tuples this worker handed to the exchange
-    /// (locally-delivered messages excluded).
-    pub bytes_exchanged: u64,
-    /// User-reported cost units (PSgL: Equation 2's `load(Gpsi)` sums).
-    pub cost: u64,
-    /// Wall-clock time the worker spent computing.
-    pub elapsed: Duration,
+psgl_obs::counters! {
+    /// Metrics for one worker within one superstep.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct WorkerSuperstepMetrics {
+        /// Vertices the program ran on.
+        pub active_vertices: u64 => Sum,
+        /// Messages consumed this superstep (own units plus stolen ones).
+        pub messages_in: u64 => Sum,
+        /// Messages produced this superstep.
+        pub messages_out: u64 => Sum,
+        /// Of `messages_out`, how many were addressed to this worker's own
+        /// vertices and took the local fast path past the exchange.
+        pub local_delivered: u64 => Sum,
+        /// Message units this worker claimed from *other* workers' queues.
+        pub chunks_stolen: u64 => Sum,
+        /// Bytes of `(VertexId, M)` tuples this worker handed to the exchange
+        /// (locally-delivered messages excluded).
+        pub bytes_exchanged: u64 => Sum,
+        /// User-reported cost units (PSgL: Equation 2's `load(Gpsi)` sums).
+        pub cost: u64 => Sum,
+        /// Wall-clock nanoseconds the worker spent computing.
+        pub elapsed_nanos: u64 => Sum,
+    }
 }
 
-/// Network-plane counters for one superstep's exchange. All zero for the
-/// in-process engine (whose "exchange" is a pointer move); populated by a
-/// remote [`Exchange`](crate::exchange::Exchange) such as the cluster's
-/// TCP data plane.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetSuperstepMetrics {
-    /// Data frames written to peers.
-    pub frames_sent: u64,
-    /// Data frames read from peers.
-    pub frames_received: u64,
-    /// Wire bytes written (frame headers + payloads + checksums).
-    pub wire_bytes_sent: u64,
-    /// Wire bytes read.
-    pub wire_bytes_received: u64,
-    /// Nanoseconds spent blocked at the superstep barrier waiting for the
-    /// coordinator's proceed signal (after local work and sends finished).
-    pub barrier_wait_nanos: u64,
-    /// Nanoseconds spent inside the exchange itself — flushing outboxes,
-    /// routing chunks, draining peer frames (in-process: the routing loop).
-    pub exchange_nanos: u64,
-}
-
-impl NetSuperstepMetrics {
-    /// Accumulates another set of counters into this one (coordinator-side
-    /// aggregation across workers).
-    pub fn merge(&mut self, other: &NetSuperstepMetrics) {
-        self.frames_sent += other.frames_sent;
-        self.frames_received += other.frames_received;
-        self.wire_bytes_sent += other.wire_bytes_sent;
-        self.wire_bytes_received += other.wire_bytes_received;
-        self.barrier_wait_nanos += other.barrier_wait_nanos;
-        self.exchange_nanos += other.exchange_nanos;
+psgl_obs::counters! {
+    /// Network-plane counters for one superstep's exchange. All zero for the
+    /// in-process engine (whose "exchange" is a pointer move); populated by a
+    /// remote [`Exchange`](crate::exchange::Exchange) such as the cluster's
+    /// TCP data plane. Merged across workers by the coordinator.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct NetSuperstepMetrics {
+        /// Data frames written to peers.
+        pub frames_sent: u64 => Sum,
+        /// Data frames read from peers.
+        pub frames_received: u64 => Sum,
+        /// Wire bytes written (frame headers + payloads + checksums).
+        pub wire_bytes_sent: u64 => Sum,
+        /// Wire bytes read.
+        pub wire_bytes_received: u64 => Sum,
+        /// Nanoseconds spent blocked at the superstep barrier waiting for the
+        /// coordinator's proceed signal (after local work and sends finished).
+        pub barrier_wait_nanos: u64 => Sum,
+        /// Nanoseconds spent inside the exchange itself — flushing outboxes,
+        /// routing chunks, draining peer frames (in-process: the routing loop).
+        pub exchange_nanos: u64 => Sum,
     }
 }
 
@@ -90,50 +82,37 @@ impl SuperstepMetrics {
     pub fn max_cost(&self) -> u64 {
         self.workers.iter().map(|w| w.cost).max().unwrap_or(0)
     }
-
-    /// Total cost over all workers.
-    pub fn total_cost(&self) -> u64 {
-        self.workers.iter().map(|w| w.cost).sum()
-    }
 }
 
-/// Counters carried across a checkpoint/resume (or preemption) seam so
-/// run-level metrics stay cumulative over every slice of a logical run.
-/// Captured from the prefix's [`EngineMetrics`] by
-/// [`CancelledRun::into_resume_point`](crate::CancelledRun::into_resume_point)
-/// and folded back in when the resumed slice finalizes its metrics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CarriedCounters {
-    /// Pool-exhaustion events of the completed prefix.
-    pub pool_exhausted: u64,
-    /// Chunks the prefix evicted to the disk spill tier.
-    pub spill_chunks: u64,
-    /// Framed spill bytes the prefix wrote.
-    pub spill_bytes: u64,
-    /// Nanoseconds the prefix stalled in spill I/O.
-    pub spill_stall_nanos: u64,
-    /// Chunks' worth of spilled tuples the prefix re-admitted.
-    pub readmitted_chunks: u64,
-    /// Spill writes of the prefix that failed and degraded to resident
-    /// growth.
-    pub spill_write_failures: u64,
-    /// High-water mark of live pool chunks over the prefix.
-    pub chunks_live_peak: i64,
-}
-
-impl CarriedCounters {
-    /// Snapshots the carryable run-level counters of finalized metrics —
-    /// what a resumed slice (or a serialized checkpoint) folds back in.
-    pub fn of(m: &EngineMetrics) -> CarriedCounters {
-        CarriedCounters {
-            pool_exhausted: m.pool_exhausted,
-            spill_chunks: m.spill_chunks,
-            spill_bytes: m.spill_bytes,
-            spill_stall_nanos: m.spill_stall_nanos,
-            readmitted_chunks: m.readmitted_chunks,
-            spill_write_failures: m.spill_write_failures,
-            chunks_live_peak: m.chunks_live_peak,
-        }
+psgl_obs::counters! {
+    /// Run-level counters of the message pool and the spill tier. They stay
+    /// cumulative over every slice of a logical run: a cancelled run's
+    /// [`EngineMetrics::counters`] travel in its
+    /// [`ResumePoint`](crate::ResumePoint) (or serialized checkpoint) and
+    /// merge into the resumed slice's own. Cluster workers' blocks merge the
+    /// same way at the coordinator.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct CarriedCounters {
+        /// Times the pool's live-chunk cap forced a sender onto a degraded
+        /// path (spill to disk, or grow-in-place when no spill tier is
+        /// configured). Always 0 when `max_live_chunks` is unset.
+        pub pool_exhausted: u64 => Sum,
+        /// Pool chunks whose contents were evicted to the disk spill tier.
+        pub spill_chunks: u64 => Sum,
+        /// Framed bytes written to spill blobs.
+        pub spill_bytes: u64 => Sum,
+        /// Nanoseconds spent blocked inside spill writes and re-admission
+        /// reads.
+        pub spill_stall_nanos: u64 => Sum,
+        /// Chunks' worth of spilled tuples decoded back in at superstep
+        /// boundaries.
+        pub readmitted_chunks: u64 => Sum,
+        /// Spill writes that failed (budget, ENOSPC, I/O error) and degraded
+        /// the sender to resident growth — served, but no longer bounded.
+        pub spill_write_failures: u64 => Sum,
+        /// High-water mark of simultaneously live pool chunks — the message
+        /// plane's true peak memory footprint.
+        pub chunks_live_peak: i64 => Max,
     }
 }
 
@@ -148,29 +127,12 @@ pub struct EngineMetrics {
     pub chunk_allocations: u64,
     /// Message chunks served from the pool's free list.
     pub chunk_reuses: u64,
-    /// Times the pool's live-chunk cap forced a sender onto a degraded
-    /// path (spill to disk, or grow-in-place when no spill tier is
-    /// configured). Always 0 when `max_live_chunks` is unset.
-    pub pool_exhausted: u64,
     /// Pool get/put imbalance at shutdown (acquires minus releases);
     /// 0 on a clean run — anything else is a chunk leak or double-free.
     pub chunks_outstanding: i64,
-    /// High-water mark of simultaneously live pool chunks over the run —
-    /// the message plane's true peak memory footprint.
-    pub chunks_live_peak: i64,
-    /// Pool chunks whose contents were evicted to the disk spill tier.
-    pub spill_chunks: u64,
-    /// Framed bytes written to spill blobs.
-    pub spill_bytes: u64,
-    /// Nanoseconds spent blocked inside spill writes and re-admission
-    /// reads.
-    pub spill_stall_nanos: u64,
-    /// Chunks' worth of spilled tuples decoded back in at superstep
-    /// boundaries.
-    pub readmitted_chunks: u64,
-    /// Spill writes that failed (budget, ENOSPC, I/O error) and degraded
-    /// the sender to resident growth — served, but no longer bounded.
-    pub spill_write_failures: u64,
+    /// Pool and spill-tier counters, cumulative over every slice of the
+    /// logical run.
+    pub counters: CarriedCounters,
 }
 
 impl EngineMetrics {
@@ -185,11 +147,6 @@ impl EngineMetrics {
         self.supersteps.iter().map(|s| s.max_cost()).sum()
     }
 
-    /// Total cost across all workers and supersteps (the "work").
-    pub fn total_cost(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.total_cost()).sum()
-    }
-
     /// Per-worker cost summed over supersteps — Figure 5's x-axis data.
     pub fn per_worker_cost(&self) -> Vec<u64> {
         let workers = self.supersteps.first().map_or(0, |s| s.workers.len());
@@ -202,34 +159,25 @@ impl EngineMetrics {
         totals
     }
 
-    /// Total messages exchanged over the run.
-    pub fn total_messages(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.messages_out()).sum()
-    }
-
-    /// Messages that took the same-worker fast path over the run.
-    pub fn total_local_delivered(&self) -> u64 {
-        self.supersteps.iter().flat_map(|s| &s.workers).map(|w| w.local_delivered).sum()
+    /// Every worker's counters merged over all supersteps: total
+    /// messages, local deliveries, steals, exchanged bytes, cost (the
+    /// "work"), compute time.
+    pub fn total_workers(&self) -> WorkerSuperstepMetrics {
+        let mut total = WorkerSuperstepMetrics::default();
+        for w in self.supersteps.iter().flat_map(|s| &s.workers) {
+            total.merge(w);
+        }
+        total
     }
 
     /// Fraction of all messages delivered without crossing the exchange
     /// (0.0 for a run that sent no messages).
     pub fn local_delivery_ratio(&self) -> f64 {
-        let total = self.total_messages();
-        if total == 0 {
+        let total = self.total_workers();
+        if total.messages_out == 0 {
             return 0.0;
         }
-        self.total_local_delivered() as f64 / total as f64
-    }
-
-    /// Message units claimed by non-owner workers over the run.
-    pub fn total_chunks_stolen(&self) -> u64 {
-        self.supersteps.iter().flat_map(|s| &s.workers).map(|w| w.chunks_stolen).sum()
-    }
-
-    /// Bytes of message tuples that crossed the exchange over the run.
-    pub fn total_bytes_exchanged(&self) -> u64 {
-        self.supersteps.iter().flat_map(|s| &s.workers).map(|w| w.bytes_exchanged).sum()
+        total.local_delivered as f64 / total.messages_out as f64
     }
 
     /// Chunk allocations avoided by pool recycling (= chunks served from
@@ -238,29 +186,13 @@ impl EngineMetrics {
         self.chunk_reuses
     }
 
-    /// Data frames written to peers over the run (0 in-process).
-    pub fn total_frames_sent(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.net.frames_sent).sum()
-    }
-
-    /// Data frames read from peers over the run (0 in-process).
-    pub fn total_frames_received(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.net.frames_received).sum()
-    }
-
-    /// Wire bytes written over the run (0 in-process).
-    pub fn total_wire_bytes_sent(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.net.wire_bytes_sent).sum()
-    }
-
-    /// Wire bytes read over the run (0 in-process).
-    pub fn total_wire_bytes_received(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.net.wire_bytes_received).sum()
-    }
-
-    /// Nanoseconds spent blocked at superstep barriers over the run.
-    pub fn total_barrier_wait_nanos(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.net.barrier_wait_nanos).sum()
+    /// Network-plane counters merged over the run (all zero in-process).
+    pub fn total_net(&self) -> NetSuperstepMetrics {
+        let mut total = NetSuperstepMetrics::default();
+        for s in &self.supersteps {
+            total.merge(&s.net);
+        }
+        total
     }
 
     /// Per-superstep barrier wait, in nanoseconds.
@@ -270,10 +202,7 @@ impl EngineMetrics {
 
     /// Per-superstep compute time (sum of worker elapsed), in nanoseconds.
     pub fn compute_nanos_per_superstep(&self) -> Vec<u64> {
-        self.supersteps
-            .iter()
-            .map(|s| s.workers.iter().map(|w| w.elapsed.as_nanos() as u64).sum())
-            .collect()
+        self.supersteps.iter().map(|s| s.workers.iter().map(|w| w.elapsed_nanos).sum()).collect()
     }
 
     /// Per-superstep exchange time, in nanoseconds.
@@ -316,9 +245,9 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(m.simulated_makespan(), 10 + 7);
-        assert_eq!(m.total_cost(), 22);
+        assert_eq!(m.total_workers().cost, 22);
         assert_eq!(m.per_worker_cost(), vec![11, 11]);
-        assert_eq!(m.total_messages(), 8);
+        assert_eq!(m.total_workers().messages_out, 8);
         assert_eq!(m.cost_imbalance(), 1.0);
     }
 
@@ -358,10 +287,10 @@ mod tests {
             chunk_reuses: 7,
             ..Default::default()
         };
-        assert_eq!(m.total_local_delivered(), 12);
+        assert_eq!(m.total_workers().local_delivered, 12);
         assert_eq!(m.local_delivery_ratio(), 12.0 / 20.0);
-        assert_eq!(m.total_chunks_stolen(), 3);
-        assert_eq!(m.total_bytes_exchanged(), 64);
+        assert_eq!(m.total_workers().chunks_stolen, 3);
+        assert_eq!(m.total_workers().bytes_exchanged, 64);
         assert_eq!(m.allocations_avoided(), 7);
         // A run with no traffic reports a zero ratio, not NaN.
         assert_eq!(EngineMetrics::default().local_delivery_ratio(), 0.0);

@@ -10,12 +10,16 @@
 //! bumps it, and both sides drop messages tagged with a stale attempt,
 //! which makes late barriers, shards, and aborts from a superseded
 //! execution harmless.
+//!
+//! Counter structs travel as counter blocks, `[count, name_hash, v…]`
+//! (see [`psgl_obs::counters`](mod@psgl_obs::counters)): a peer built from a different counter
+//! table fails to decode instead of filling the wrong fields.
 
-use psgl_bsp::{NetSuperstepMetrics, WorkerSuperstepMetrics};
+use psgl_bsp::{CarriedCounters, NetSuperstepMetrics, WorkerSuperstepMetrics};
 use psgl_core::{ExpandStats, PsglConfig};
 use psgl_graph::{DataGraph, VertexId};
+use psgl_obs::CounterTable;
 use psgl_service::{load_graph, GraphFormat, Json};
-use std::time::Duration;
 
 /// How a worker materializes the data graph. Shipping a spec instead of
 /// the graph keeps `start` messages tiny and guarantees every process
@@ -243,24 +247,31 @@ pub enum WorkerMsg {
     Done {
         /// Execution attempt.
         attempt: u32,
-        /// Expansion counters merged over this worker's partitions.
-        expand: ExpandStats,
-        /// Instance tuples (when collecting).
-        instances: Option<Vec<Vec<VertexId>>>,
-        /// Supersteps executed (identical at every worker).
-        supersteps: u32,
-        /// Per-superstep network counters observed by this worker.
-        net: Vec<(u32, NetSuperstepMetrics)>,
-        /// Times the chunk pool's cap forced the degraded path.
-        pool_exhausted: u64,
-        /// Chunk get/put imbalance at shutdown (0 on a clean run).
-        chunks_outstanding: i64,
+        /// What the worker's partitions produced.
+        report: Box<DoneReport>,
     },
     /// The run failed on this worker (bad job spec, graph load failure).
     Error {
         /// Human-readable cause.
         message: String,
     },
+}
+
+/// A worker's report of a completed run, merged by the coordinator.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DoneReport {
+    /// Expansion counters merged over this worker's partitions.
+    pub expand: ExpandStats,
+    /// Instance tuples (when collecting).
+    pub instances: Option<Vec<Vec<VertexId>>>,
+    /// Supersteps executed (identical at every worker).
+    pub supersteps: u32,
+    /// Per-superstep network counters observed by this worker.
+    pub net: Vec<(u32, NetSuperstepMetrics)>,
+    /// This worker's pool and spill-tier counters.
+    pub carried: CarriedCounters,
+    /// Chunk get/put imbalance at shutdown (0 on a clean run).
+    pub chunks_outstanding: i64,
 }
 
 /// Messages the coordinator sends to a worker.
@@ -325,7 +336,7 @@ impl WorkerMsg {
                 ("attempt", Json::from(*attempt)),
                 ("superstep", Json::from(*superstep)),
                 ("partitions", Json::from(partitions.clone())),
-                ("metrics", Json::Arr(metrics.iter().map(worker_metrics_to_json).collect())),
+                ("metrics", Json::Arr(metrics.iter().map(counters_to_json).collect())),
             ]),
             WorkerMsg::Shard { attempt, superstep, partition, bytes } => Json::obj([
                 ("type", Json::from("shard")),
@@ -334,48 +345,32 @@ impl WorkerMsg {
                 ("partition", Json::from(*partition)),
                 ("bytes", Json::from(to_hex(bytes))),
             ]),
-            WorkerMsg::Done {
-                attempt,
-                expand,
-                instances,
-                supersteps,
-                net,
-                pool_exhausted,
-                chunks_outstanding,
-            } => Json::obj([
+            WorkerMsg::Done { attempt, report } => Json::obj([
                 ("type", Json::from("done")),
                 ("attempt", Json::from(*attempt)),
-                ("expand", expand_to_json(expand)),
+                ("expand", counters_to_json(&report.expand)),
                 (
                     "instances",
-                    match instances {
+                    match &report.instances {
                         Some(rows) => {
                             Json::Arr(rows.iter().map(|row| Json::from(row.clone())).collect())
                         }
                         None => Json::Null,
                     },
                 ),
-                ("supersteps", Json::from(*supersteps)),
+                ("supersteps", Json::from(report.supersteps)),
                 (
                     "net",
                     Json::Arr(
-                        net.iter()
-                            .map(|(s, n)| {
-                                Json::Arr(vec![
-                                    Json::from(*s),
-                                    Json::from(n.frames_sent),
-                                    Json::from(n.frames_received),
-                                    Json::from(n.wire_bytes_sent),
-                                    Json::from(n.wire_bytes_received),
-                                    Json::from(n.barrier_wait_nanos),
-                                    Json::from(n.exchange_nanos),
-                                ])
-                            })
+                        report
+                            .net
+                            .iter()
+                            .map(|(s, n)| Json::Arr(vec![Json::from(*s), counters_to_json(n)]))
                             .collect(),
                     ),
                 ),
-                ("pool_exhausted", Json::from(*pool_exhausted)),
-                ("chunks_outstanding", Json::from(*chunks_outstanding)),
+                ("carried", counters_to_json(&report.carried)),
+                ("chunks_outstanding", Json::from(report.chunks_outstanding)),
             ]),
             WorkerMsg::Error { message } => Json::obj([
                 ("type", Json::from("error")),
@@ -396,7 +391,7 @@ impl WorkerMsg {
                     .and_then(Json::as_arr)
                     .ok_or("barrier missing metrics")?
                     .iter()
-                    .map(worker_metrics_from_json)
+                    .map(counters_from_json)
                     .collect::<Result<Vec<_>, _>>()?;
                 if partitions.len() != metrics.len() {
                     return Err("barrier partitions/metrics length mismatch".into());
@@ -430,35 +425,29 @@ impl WorkerMsg {
                     .and_then(Json::as_arr)
                     .ok_or("done missing net")?
                     .iter()
-                    .map(|entry| {
-                        let ns = u64_arr(entry, "net entry")?;
-                        if ns.len() != 7 {
-                            return Err("net entry wants 7 numbers".to_string());
-                        }
-                        Ok((
-                            ns[0] as u32,
-                            NetSuperstepMetrics {
-                                frames_sent: ns[1],
-                                frames_received: ns[2],
-                                wire_bytes_sent: ns[3],
-                                wire_bytes_received: ns[4],
-                                barrier_wait_nanos: ns[5],
-                                exchange_nanos: ns[6],
-                            },
-                        ))
+                    .map(|entry| match entry.as_arr() {
+                        Some([s, block]) => Ok((
+                            s.as_u64().ok_or("net entry superstep must be a number")? as u32,
+                            counters_from_json(block)?,
+                        )),
+                        _ => Err("net entry must be [superstep, counters]".to_string()),
                     })
                     .collect::<Result<Vec<_>, String>>()?;
-                Ok(WorkerMsg::Done {
-                    attempt: u64_field(v, "attempt")? as u32,
-                    expand: expand_from_json(v.get("expand").ok_or("done missing expand")?)?,
+                let block = |key: &str| v.get(key).ok_or_else(|| format!("done missing {key}"));
+                let report = DoneReport {
+                    expand: counters_from_json(block("expand")?)?,
                     instances,
                     supersteps: u64_field(v, "supersteps")? as u32,
                     net,
-                    pool_exhausted: u64_field(v, "pool_exhausted")?,
+                    carried: counters_from_json(block("carried")?)?,
                     chunks_outstanding: v
                         .get("chunks_outstanding")
                         .and_then(Json::as_i64)
                         .unwrap_or(0),
+                };
+                Ok(WorkerMsg::Done {
+                    attempt: u64_field(v, "attempt")? as u32,
+                    report: Box::new(report),
                 })
             }
             "error" => Ok(WorkerMsg::Error { message: str_field(v, "message")? }),
@@ -566,95 +555,39 @@ impl CoordMsg {
     }
 }
 
-/// Per-partition superstep metrics as a fixed-order numeric array
-/// (`elapsed` in nanoseconds).
-fn worker_metrics_to_json(m: &WorkerSuperstepMetrics) -> Json {
-    Json::Arr(vec![
-        Json::from(m.active_vertices),
-        Json::from(m.messages_in),
-        Json::from(m.messages_out),
-        Json::from(m.local_delivered),
-        Json::from(m.chunks_stolen),
-        Json::from(m.bytes_exchanged),
-        Json::from(m.cost),
-        Json::from(m.elapsed.as_nanos() as u64),
-    ])
+/// A counter block: `[count, name_hash, v…]`, values in table order. Each
+/// value is its raw 64 bits as a two's-complement JSON integer, so the
+/// full `u64` range survives a `Json` whose integers are `i64`.
+fn counters_to_json<C: CounterTable>(counters: &C) -> Json {
+    let values = counters.to_array();
+    let header = [C::NAMES.len() as u64, u64::from(C::NAME_HASH)];
+    let raw = header.iter().chain(values.as_ref());
+    Json::Arr(raw.map(|&v| Json::Int(v as i64)).collect())
 }
 
-fn worker_metrics_from_json(v: &Json) -> Result<WorkerSuperstepMetrics, String> {
-    let ns = u64_arr(v, "worker metrics")?;
-    if ns.len() != 8 {
-        return Err("worker metrics want 8 numbers".into());
+/// Inverse of [`counters_to_json`]; rejects a block whose count or name
+/// hash does not match table `C`.
+fn counters_from_json<C: CounterTable>(v: &Json) -> Result<C, String> {
+    let items = v.as_arr().ok_or_else(|| format!("{} block must be an array", C::TABLE))?;
+    let raw = items
+        .iter()
+        .map(|x| x.as_i64().map(|i| i as u64))
+        .collect::<Option<Vec<u64>>>()
+        .ok_or_else(|| format!("{} block holds a non-integer", C::TABLE))?;
+    let [count, hash, values @ ..] = raw.as_slice() else {
+        return Err(format!("{} block lacks its header", C::TABLE));
+    };
+    psgl_obs::check_header::<C>(*count, *hash)?;
+    let mut out = C::Array::default();
+    if values.len() != out.as_ref().len() {
+        return Err(format!(
+            "{} block holds {} values for {count} counters",
+            C::TABLE,
+            values.len()
+        ));
     }
-    Ok(WorkerSuperstepMetrics {
-        active_vertices: ns[0],
-        messages_in: ns[1],
-        messages_out: ns[2],
-        local_delivered: ns[3],
-        chunks_stolen: ns[4],
-        bytes_exchanged: ns[5],
-        cost: ns[6],
-        elapsed: Duration::from_nanos(ns[7]),
-    })
-}
-
-/// Expansion counters as a fixed-order numeric array (field order of
-/// [`ExpandStats`]).
-fn expand_to_json(e: &ExpandStats) -> Json {
-    Json::Arr(
-        [
-            e.expanded,
-            e.generated,
-            e.results,
-            e.pruned_injectivity,
-            e.pruned_degree,
-            e.pruned_order,
-            e.pruned_connectivity,
-            e.pruned_label,
-            e.died_gray_check,
-            e.died_no_candidates,
-            e.combinations_examined,
-            e.index_probes,
-            e.cost,
-            e.kernel_close,
-            e.kernel_twohop,
-            e.cmap_probes,
-            e.cmap_hits,
-            e.intersect_gallop,
-            e.intersect_probe,
-        ]
-        .into_iter()
-        .map(Json::from)
-        .collect(),
-    )
-}
-
-fn expand_from_json(v: &Json) -> Result<ExpandStats, String> {
-    let ns = u64_arr(v, "expand stats")?;
-    if ns.len() != 19 {
-        return Err("expand stats want 19 numbers".into());
-    }
-    Ok(ExpandStats {
-        expanded: ns[0],
-        generated: ns[1],
-        results: ns[2],
-        pruned_injectivity: ns[3],
-        pruned_degree: ns[4],
-        pruned_order: ns[5],
-        pruned_connectivity: ns[6],
-        pruned_label: ns[7],
-        died_gray_check: ns[8],
-        died_no_candidates: ns[9],
-        combinations_examined: ns[10],
-        index_probes: ns[11],
-        cost: ns[12],
-        kernel_close: ns[13],
-        kernel_twohop: ns[14],
-        cmap_probes: ns[15],
-        cmap_hits: ns[16],
-        intersect_gallop: ns[17],
-        intersect_probe: ns[18],
-    })
+    out.as_mut().copy_from_slice(values);
+    Ok(C::from_array(out))
 }
 
 fn str_field(v: &Json, key: &str) -> Result<String, String> {
@@ -770,7 +703,7 @@ mod tests {
                         chunks_stolen: 0,
                         bytes_exchanged: 900,
                         cost: 77,
-                        elapsed: Duration::from_nanos(1234),
+                        elapsed_nanos: 1234,
                     },
                     WorkerSuperstepMetrics::default(),
                 ],
@@ -778,22 +711,28 @@ mod tests {
             WorkerMsg::Shard { attempt: 0, superstep: 2, partition: 4, bytes: vec![1, 2, 250] },
             WorkerMsg::Done {
                 attempt: 2,
-                expand: ExpandStats { expanded: 9, results: 3, cost: 12, ..Default::default() },
-                instances: Some(vec![vec![1, 2, 3], vec![4, 5, 6]]),
-                supersteps: 4,
-                net: vec![(
-                    0,
-                    NetSuperstepMetrics {
-                        frames_sent: 1,
-                        frames_received: 2,
-                        wire_bytes_sent: 3,
-                        wire_bytes_received: 4,
-                        barrier_wait_nanos: 5,
-                        exchange_nanos: 6,
+                report: Box::new(DoneReport {
+                    expand: ExpandStats { expanded: 9, results: 3, cost: 12, ..Default::default() },
+                    instances: Some(vec![vec![1, 2, 3], vec![4, 5, 6]]),
+                    supersteps: 4,
+                    net: vec![(
+                        0,
+                        NetSuperstepMetrics {
+                            frames_sent: 1,
+                            frames_received: 2,
+                            wire_bytes_sent: 3,
+                            wire_bytes_received: 4,
+                            barrier_wait_nanos: 5,
+                            exchange_nanos: 6,
+                        },
+                    )],
+                    carried: CarriedCounters {
+                        pool_exhausted: 2,
+                        chunks_live_peak: -3,
+                        ..Default::default()
                     },
-                )],
-                pool_exhausted: 0,
-                chunks_outstanding: 0,
+                    chunks_outstanding: 0,
+                }),
             },
             WorkerMsg::Error { message: "boom".into() },
         ];
@@ -822,6 +761,45 @@ mod tests {
         for msg in msgs {
             let json = Json::parse(&msg.to_json().to_string()).unwrap();
             assert_eq!(CoordMsg::from_json(&json).unwrap(), msg);
+        }
+    }
+
+    /// A counter block of table `C` filled from the front of `raw`.
+    fn block_of<C: CounterTable>(raw: &[u64]) -> C {
+        let mut values = C::Array::default();
+        let n = values.as_ref().len();
+        values.as_mut().copy_from_slice(&raw[..n]);
+        C::from_array(values)
+    }
+
+    /// Round-trips one block through text, and checks that every
+    /// truncation of it, and a wrong count or name hash, is an `Err`.
+    fn roundtrip_block<C: CounterTable + PartialEq + std::fmt::Debug>(raw: &[u64]) {
+        let block: C = block_of(raw);
+        let json = Json::parse(&counters_to_json(&block).to_string()).unwrap();
+        assert_eq!(counters_from_json::<C>(&json).unwrap(), block);
+        let items = json.as_arr().unwrap().to_vec();
+        for cut in 0..items.len() {
+            assert!(counters_from_json::<C>(&Json::Arr(items[..cut].to_vec())).is_err());
+        }
+        for (slot, bump) in [(0, 1), (1, 1)] {
+            let mut bad = items.clone();
+            bad[slot] = Json::Int(bad[slot].as_i64().unwrap() + bump);
+            let err = counters_from_json::<C>(&Json::Arr(bad)).unwrap_err();
+            assert!(err.starts_with(&format!("{} block has", C::TABLE)), "{err}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+        #[test]
+        fn counter_blocks_roundtrip_through_json(
+            raw in proptest::collection::vec(proptest::any::<u64>(), ExpandStats::NAMES.len())
+        ) {
+            roundtrip_block::<ExpandStats>(&raw);
+            roundtrip_block::<CarriedCounters>(&raw);
+            roundtrip_block::<WorkerSuperstepMetrics>(&raw);
+            roundtrip_block::<NetSuperstepMetrics>(&raw);
         }
     }
 }

@@ -39,14 +39,16 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use psgl_bsp::{EngineMetrics, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics};
+use psgl_bsp::{
+    CarriedCounters, EngineMetrics, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics,
+};
 use psgl_core::{assemble_run_stats, ExpandStats, RunStats};
 use psgl_graph::VertexId;
-use psgl_obs::Value as TraceValue;
-use psgl_service::wire::{read_json, write_json, MAX_LINE_BYTES};
+use psgl_obs::{CounterTable, Value as TraceValue};
+use psgl_service::wire::{read_json, read_line, write_json, WireError, MAX_LINE_BYTES};
 use psgl_service::Json;
 
-use crate::control::{CoordMsg, JobSpec, WorkerMsg};
+use crate::control::{CoordMsg, DoneReport, JobSpec, WorkerMsg};
 use crate::membership::Membership;
 
 /// How long the event loop sleeps waiting for worker traffic before
@@ -191,11 +193,15 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// What a connection reader thread feeds the event loop.
+/// What a connection reader thread feeds the event loop. `Bad` is a whole
+/// control line that is not a valid message: oversized, not JSON, or not a
+/// decodable [`WorkerMsg`] (a counter block from a different table, say).
+/// It fails the job with [`ClusterError::Protocol`]; it is not a death.
 enum Event {
     Joined { proc: u32, writer: TcpStream, data_addr: String },
     Msg { proc: u32, msg: WorkerMsg },
     Gone { proc: u32 },
+    Bad { proc: u32, cause: String },
 }
 
 /// Coordinator-side view of one worker process.
@@ -213,15 +219,6 @@ impl WorkerSlot {
         let mut w = &self.writer;
         let _ = write_json(&mut w, &msg.to_json());
     }
-}
-
-/// The pieces of a worker's `done` report the aggregate needs.
-struct DoneParts {
-    expand: ExpandStats,
-    instances: Option<Vec<Vec<VertexId>>>,
-    net: Vec<(u32, NetSuperstepMetrics)>,
-    pool_exhausted: u64,
-    chunks_outstanding: i64,
 }
 
 /// Runs a cluster job to completion over an already-bound listener.
@@ -313,21 +310,25 @@ fn worker_reader(stream: TcpStream, proc: u32, tx: Sender<Event>) {
         }
         _ => return,
     }
+    let mut line = String::new();
     loop {
-        match read_json(&mut reader, MAX_LINE_BYTES) {
-            Ok(Some(json)) => {
-                let Ok(msg) = WorkerMsg::from_json(&json) else {
-                    let _ = tx.send(Event::Gone { proc });
-                    return;
-                };
-                if tx.send(Event::Msg { proc, msg }).is_err() {
-                    return;
-                }
-            }
-            Ok(None) | Err(_) => {
-                let _ = tx.send(Event::Gone { proc });
-                return;
-            }
+        let event = match read_line(&mut reader, &mut line, MAX_LINE_BYTES) {
+            // A line cut short by EOF is a worker that died mid-write.
+            Ok(true) if !line.ends_with('\n') => Event::Gone { proc },
+            Ok(true) if line.trim().is_empty() => continue,
+            Ok(true) => match Json::parse(line.trim()) {
+                Ok(json) => match WorkerMsg::from_json(&json) {
+                    Ok(msg) => Event::Msg { proc, msg },
+                    Err(cause) => Event::Bad { proc, cause },
+                },
+                Err(e) => Event::Bad { proc, cause: format!("bad control line: {e}") },
+            },
+            Err(e @ WireError::Oversized { .. }) => Event::Bad { proc, cause: e.to_string() },
+            Ok(false) | Err(_) => Event::Gone { proc },
+        };
+        let last = !matches!(event, Event::Msg { .. });
+        if tx.send(event).is_err() || last {
+            return;
         }
     }
 }
@@ -387,6 +388,7 @@ fn drive(
                 slots.remove(&proc);
                 membership.remove(proc);
             }
+            Ok(Event::Bad { proc, cause }) => return Err(protocol_error(proc, &cause)),
             Err(RecvTimeoutError::Timeout) => {
                 if Instant::now() >= join_deadline {
                     return Err(ClusterError::JoinTimeout {
@@ -420,7 +422,7 @@ fn drive(
     // superstep -> proc -> (partitions, metrics).
     type BarrierRow = (Vec<u32>, Vec<WorkerSuperstepMetrics>);
     let mut barriers: HashMap<u32, HashMap<u32, BarrierRow>> = HashMap::new();
-    let mut dones: BTreeMap<u32, DoneParts> = BTreeMap::new();
+    let mut dones: BTreeMap<u32, Box<DoneReport>> = BTreeMap::new();
 
     start_attempt(slots, cfg, attempt, 0, &shards, &counters);
 
@@ -497,35 +499,19 @@ fn drive(
                         }
                     }
                     WorkerMsg::Shard { .. } => {} // stale attempt
-                    WorkerMsg::Done {
-                        attempt: a,
-                        expand,
-                        instances,
-                        supersteps,
-                        net,
-                        pool_exhausted,
-                        chunks_outstanding,
-                    } if a == attempt => {
+                    WorkerMsg::Done { attempt: a, report } if a == attempt => {
                         // After a recovery the worker's own metrics span
                         // only the supersteps of the final attempt, so
                         // the global log is an upper bound, not an
                         // equality.
-                        if supersteps as usize > global_steps.len() {
+                        if report.supersteps as usize > global_steps.len() {
                             return Err(ClusterError::Protocol(format!(
-                                "worker {proc} ran {supersteps} supersteps, coordinator saw {}",
+                                "worker {proc} ran {} supersteps, coordinator saw {}",
+                                report.supersteps,
                                 global_steps.len()
                             )));
                         }
-                        dones.insert(
-                            proc,
-                            DoneParts {
-                                expand,
-                                instances,
-                                net,
-                                pool_exhausted,
-                                chunks_outstanding,
-                            },
-                        );
+                        dones.insert(proc, report);
                         if dones.len() == alive_count(slots) {
                             let dones = std::mem::take(&mut dones);
                             return Ok(aggregate(
@@ -557,6 +543,11 @@ fn drive(
             Ok(Event::Gone { proc }) => {
                 if slots.get(&proc).is_some_and(|s| s.alive) {
                     dead.push(proc);
+                }
+            }
+            Ok(Event::Bad { proc, cause }) => {
+                if slots.get(&proc).is_some_and(|s| s.alive) {
+                    return Err(protocol_error(proc, &cause));
                 }
             }
             // A process connecting after the cluster is full is not a
@@ -636,6 +627,10 @@ fn drive(
     }
 }
 
+fn protocol_error(proc: u32, cause: &str) -> ClusterError {
+    ClusterError::Protocol(format!("worker {proc} sent a bad control message: {cause}"))
+}
+
 fn alive_count(slots: &BTreeMap<u32, WorkerSlot>) -> usize {
     slots.values().filter(|s| s.alive).count()
 }
@@ -704,7 +699,7 @@ fn start_attempt(
 fn aggregate(
     cfg: &ClusterConfig,
     mut steps: Vec<SuperstepMetrics>,
-    dones: BTreeMap<u32, DoneParts>,
+    dones: BTreeMap<u32, Box<DoneReport>>,
     started: Instant,
     attempt: u32,
     workers_lost: usize,
@@ -713,7 +708,7 @@ fn aggregate(
     let mut expand = ExpandStats::default();
     let mut instances: Option<Vec<Vec<VertexId>>> =
         if cfg.job.collect_instances { Some(Vec::new()) } else { None };
-    let mut pool_exhausted = 0u64;
+    let mut carried = CarriedCounters::default();
     let mut chunks_outstanding = 0i64;
     for parts in dones.into_values() {
         expand.merge(&parts.expand);
@@ -729,7 +724,7 @@ fn aggregate(
                 step.net.merge(&net);
             }
         }
-        pool_exhausted += parts.pool_exhausted;
+        carried.merge(&parts.carried);
         chunks_outstanding += parts.chunks_outstanding;
     }
     if let Some(all) = instances.as_mut() {
@@ -750,8 +745,8 @@ fn aggregate(
     let metrics = EngineMetrics {
         supersteps: steps,
         wall_time: started.elapsed(),
-        pool_exhausted,
         chunks_outstanding,
+        counters: carried,
         ..EngineMetrics::default()
     };
     let stats = assemble_run_stats(expand, &metrics);

@@ -41,7 +41,7 @@ pub mod local;
 pub mod membership;
 pub mod worker;
 
-pub use control::{CoordMsg, GraphSpec, JobSpec, StartOrder, WorkerMsg};
+pub use control::{CoordMsg, DoneReport, GraphSpec, JobSpec, StartOrder, WorkerMsg};
 pub use coordinator::{run_cluster, ClusterConfig, ClusterError, ClusterOutcome};
 pub use exchange::TcpExchange;
 pub use frame::{

@@ -19,7 +19,7 @@
 //! distributor RNG streams and expansion counters exactly, so the
 //! re-run is bit-identical to an uninterrupted one.
 
-use crate::control::{CoordMsg, GraphSpec, StartOrder, WorkerMsg};
+use crate::control::{CoordMsg, DoneReport, GraphSpec, StartOrder, WorkerMsg};
 use crate::exchange::{parse_cancel_reason, ControlHandle, InboundRegistry, TcpExchange};
 use crate::frame::{encode, read_frame, Frame, FrameKind};
 use psgl_core::{
@@ -234,15 +234,15 @@ fn run_attempt(
     };
     match list_subgraphs_resumable(&shared, &config, &RunnerHooks::default(), controls) {
         Ok(ListingEnd::Complete(result)) => {
-            let done = WorkerMsg::Done {
-                attempt: order.attempt,
+            let report = DoneReport {
                 expand: result.stats.expand,
+                carried: result.stats.carried(),
                 instances: result.instances,
                 supersteps: result.stats.supersteps as u32,
                 net: exchange.net_history(),
-                pool_exhausted: result.stats.pool_exhausted,
                 chunks_outstanding: result.stats.chunks_outstanding,
             };
+            let done = WorkerMsg::Done { attempt: order.attempt, report: Box::new(report) };
             let _ = control.send(&done);
             AttemptEnd::Continue
         }

@@ -4,12 +4,14 @@
 //! message curves — for every paper distribution strategy, and a run
 //! that loses a worker mid-flight must recover to the same answer.
 
+use std::io::Write;
 use std::time::Duration;
 
-use psgl_cluster::control::{GraphSpec, JobSpec};
+use psgl_bsp::CarriedCounters;
+use psgl_cluster::control::{DoneReport, GraphSpec, JobSpec, WorkerMsg};
 use psgl_cluster::local::{run_local, LocalClusterConfig};
-use psgl_cluster::ClusterOutcome;
-use psgl_core::{list_subgraphs, ListingResult};
+use psgl_cluster::{ClusterError, ClusterOutcome};
+use psgl_core::{list_subgraphs, ExpandStats, ListingResult};
 use psgl_service::parse_pattern_spec;
 
 const WORKERS: usize = 3;
@@ -67,6 +69,9 @@ fn three_workers_match_oracle_on_triangles_for_every_strategy() {
         assert_eq!(outcome.workers_lost, 0);
         assert_matches_oracle(&outcome, &expected, &format!("triangle/{strategy}"));
         assert!(expected.instance_count > 0, "vacuous test: no triangles in fixture");
+        // Workers report their whole pool/spill counter block; the
+        // coordinator keeps the largest per-worker peak.
+        assert!(outcome.stats.chunks_live_peak > 0, "triangle/{strategy}: no live-chunk peak");
     }
 }
 
@@ -211,4 +216,80 @@ fn checkpointing_run_without_failure_still_matches_oracle() {
     let outcome = run_local(LocalClusterConfig::new(WORKERS, job)).unwrap();
     assert_eq!(outcome.attempts, 1);
     assert_matches_oracle(&outcome, &expected, "triangle/wa:0.5 with checkpoints");
+}
+
+/// Joins a one-worker cluster over a raw socket, lets `misbehave` write to
+/// the control connection after the `start` order, and returns how the
+/// coordinator ended the job.
+fn fake_worker_run(misbehave: impl FnOnce(&mut std::net::TcpStream)) -> ClusterError {
+    use psgl_cluster::{run_cluster, ClusterConfig};
+    use psgl_service::wire::{read_json, write_json, MAX_LINE_BYTES};
+    use psgl_service::Json;
+    use std::io::BufReader;
+    use std::net::{TcpListener, TcpStream};
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let coord = std::thread::spawn(move || {
+        run_cluster(listener, ClusterConfig::new(1, job("triangle", "roulette")))
+    });
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let join = WorkerMsg::Join { data_addr: "127.0.0.1:1".into() };
+    write_json(&mut stream, &join.to_json()).unwrap();
+    for expected in ["welcome", "start"] {
+        let msg = read_json(&mut reader, MAX_LINE_BYTES).unwrap().expect("coordinator line");
+        assert_eq!(msg.get("type").and_then(Json::as_str), Some(expected));
+    }
+    misbehave(&mut stream);
+    match coord.join().unwrap() {
+        Ok(_) => panic!("the job must not succeed"),
+        Err(e) => e,
+    }
+}
+
+#[test]
+fn done_from_a_foreign_counter_table_is_a_protocol_error() {
+    use psgl_obs::CounterTable;
+    let err = fake_worker_run(|stream| {
+        let report = DoneReport {
+            expand: ExpandStats::default(),
+            instances: None,
+            supersteps: 0,
+            net: Vec::new(),
+            carried: CarriedCounters::default(),
+            chunks_outstanding: 0,
+        };
+        let done = WorkerMsg::Done { attempt: 0, report: Box::new(report) };
+        let n = ExpandStats::NAMES.len();
+        let text = done.to_json().to_string().replace(
+            &format!("[{n},{}", ExpandStats::NAME_HASH),
+            &format!("[{n},{}", ExpandStats::NAME_HASH ^ 1),
+        );
+        writeln!(stream, "{text}").unwrap();
+    });
+    match err {
+        ClusterError::Protocol(m) => {
+            assert!(m.contains("worker 0"), "{m}");
+            assert!(m.contains("ExpandStats block has"), "{m}");
+        }
+        other => panic!("expected a protocol error, got {other}"),
+    }
+}
+
+#[test]
+fn oversized_control_line_is_a_protocol_error() {
+    use psgl_service::wire::MAX_LINE_BYTES;
+    let err = fake_worker_run(|stream| {
+        let pad = "x".repeat(MAX_LINE_BYTES as usize);
+        // The coordinator stops reading at the cap; the tail may not land.
+        let _ = writeln!(stream, "{{\"type\":\"ping\",\"pad\":\"{pad}\"}}");
+    });
+    match err {
+        ClusterError::Protocol(m) => {
+            assert!(m.contains("worker 0"), "{m}");
+            assert!(m.contains(&format!("exceeds {MAX_LINE_BYTES} bytes")), "{m}");
+        }
+        other => panic!("expected a protocol error, got {other}"),
+    }
 }

@@ -14,27 +14,28 @@
 //!
 //! The binary format follows `crates/graph/src/binary.rs`: magic, u32/u64
 //! little-endian fields, and a trailing FxHash checksum over the payload
-//! so corruption fails loudly, never silently.
+//! so corruption fails loudly, never silently. Every counter struct is
+//! written as a counter block: its table's counter count and name hash
+//! (see [`psgl_obs::counters`](mod@psgl_obs::counters)), then one u64 per counter in table order.
+//! A block from a different table is rejected, never misread.
 //!
 //! ```text
-//! magic "PSGLCKP1" | payload | checksum: u64 (FxHash of the payload)
+//! magic "PSGLCKP2" | payload | checksum: u64 (FxHash of the payload)
+//! counter block = count: u32 | name hash: u32 | count × u64
 //! ```
 
 use crate::distribute::{DistributorSnapshot, Strategy};
 use crate::gpsi::{Gpsi, MAX_GPSI_VERTICES};
 use crate::stats::ExpandStats;
 use bytes::{BufMut, BytesMut};
-use psgl_bsp::{
-    CarriedCounters, NetSuperstepMetrics, SpillCodec, SpillError, SpillReader, SuperstepMetrics,
-    WorkerSuperstepMetrics,
-};
+use psgl_bsp::{CarriedCounters, SpillCodec, SpillError, SpillReader, SuperstepMetrics};
 use psgl_graph::hash::FxHasher;
 use psgl_graph::VertexId;
+use psgl_obs::CounterTable;
 use std::hash::Hasher;
-use std::time::Duration;
 
-const MAGIC: &[u8; 8] = b"PSGLCKP1";
-const SHARD_MAGIC: &[u8; 8] = b"PSGLSHD1";
+const MAGIC: &[u8; 8] = b"PSGLCKP2";
+const SHARD_MAGIC: &[u8; 8] = b"PSGLSHD2";
 
 /// A checkpoint failed to decode or does not match the run it is being
 /// resumed against.
@@ -198,32 +199,14 @@ impl Checkpoint {
         let mut p = BytesMut::new();
         put_guard(&mut p, &self.guard);
         p.put_u32_le(self.superstep);
-        p.put_u64_le(self.carried.pool_exhausted);
-        p.put_u64_le(self.carried.spill_chunks);
-        p.put_u64_le(self.carried.spill_bytes);
-        p.put_u64_le(self.carried.spill_stall_nanos);
-        p.put_u64_le(self.carried.readmitted_chunks);
-        p.put_u64_le(self.carried.spill_write_failures);
-        p.put_u64_le(self.carried.chunks_live_peak as u64);
+        put_counters(&mut p, &self.carried);
         p.put_u32_le(self.prior_supersteps.len() as u32);
         for s in &self.prior_supersteps {
             p.put_u32_le(s.workers.len() as u32);
             for w in &s.workers {
-                p.put_u64_le(w.active_vertices);
-                p.put_u64_le(w.messages_in);
-                p.put_u64_le(w.messages_out);
-                p.put_u64_le(w.local_delivered);
-                p.put_u64_le(w.chunks_stolen);
-                p.put_u64_le(w.bytes_exchanged);
-                p.put_u64_le(w.cost);
-                p.put_u64_le(w.elapsed.as_nanos() as u64);
+                put_counters(&mut p, w);
             }
-            p.put_u64_le(s.net.frames_sent);
-            p.put_u64_le(s.net.frames_received);
-            p.put_u64_le(s.net.wire_bytes_sent);
-            p.put_u64_le(s.net.wire_bytes_received);
-            p.put_u64_le(s.net.barrier_wait_nanos);
-            p.put_u64_le(s.net.exchange_nanos);
+            put_counters(&mut p, &s.net);
             p.put_u64_le(s.spill_stall_nanos);
         }
         for w in &self.workers {
@@ -238,48 +221,24 @@ impl Checkpoint {
     /// Deserializes the binary format; rejects corruption (checksum),
     /// truncation, and structurally invalid payloads.
     pub fn from_bytes(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        let payload = unseal(MAGIC, "PSGLCKP1 checkpoint", data)?;
+        let payload = unseal(MAGIC, "PSGLCKP2 checkpoint", data)?;
         let mut r = Reader { data: payload };
         let guard = read_guard(&mut r)?;
         let workers = guard.workers;
         let harvest_mode = guard.harvest_mode;
         let superstep = r.u32()?;
-        let carried = CarriedCounters {
-            pool_exhausted: r.u64()?,
-            spill_chunks: r.u64()?,
-            spill_bytes: r.u64()?,
-            spill_stall_nanos: r.u64()?,
-            readmitted_chunks: r.u64()?,
-            spill_write_failures: r.u64()?,
-            chunks_live_peak: r.u64()? as i64,
-        };
+        let carried = read_counters(&mut r)?;
         let n_supersteps = r.u32()? as usize;
         let mut prior_supersteps = Vec::new();
         for _ in 0..n_supersteps {
             let n_workers = r.u32()? as usize;
-            let mut ws = Vec::new();
+            let mut workers = Vec::new();
             for _ in 0..n_workers {
-                ws.push(WorkerSuperstepMetrics {
-                    active_vertices: r.u64()?,
-                    messages_in: r.u64()?,
-                    messages_out: r.u64()?,
-                    local_delivered: r.u64()?,
-                    chunks_stolen: r.u64()?,
-                    bytes_exchanged: r.u64()?,
-                    cost: r.u64()?,
-                    elapsed: Duration::from_nanos(r.u64()?),
-                });
+                workers.push(read_counters(&mut r)?);
             }
-            let net = NetSuperstepMetrics {
-                frames_sent: r.u64()?,
-                frames_received: r.u64()?,
-                wire_bytes_sent: r.u64()?,
-                wire_bytes_received: r.u64()?,
-                barrier_wait_nanos: r.u64()?,
-                exchange_nanos: r.u64()?,
-            };
+            let net = read_counters(&mut r)?;
             let spill_stall_nanos = r.u64()?;
-            prior_supersteps.push(SuperstepMetrics { workers: ws, net, spill_stall_nanos });
+            prior_supersteps.push(SuperstepMetrics { workers, net, spill_stall_nanos });
         }
         let mut worker_states = Vec::new();
         for _ in 0..workers {
@@ -312,7 +271,7 @@ impl Checkpoint {
 /// Same binary discipline as [`Checkpoint`]:
 ///
 /// ```text
-/// magic "PSGLSHD1" | payload | checksum: u64 (FxHash of the payload)
+/// magic "PSGLSHD2" | payload | checksum: u64 (FxHash of the payload)
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct CheckpointShard {
@@ -343,7 +302,7 @@ impl CheckpointShard {
     /// Deserializes the binary format; rejects corruption, truncation, and
     /// structurally invalid payloads.
     pub fn from_bytes(data: &[u8]) -> Result<CheckpointShard, CheckpointError> {
-        let payload = unseal(SHARD_MAGIC, "PSGLSHD1 checkpoint shard", data)?;
+        let payload = unseal(SHARD_MAGIC, "PSGLSHD2 checkpoint shard", data)?;
         let mut r = Reader { data: payload };
         let guard = read_guard(&mut r)?;
         let partition = r.u32()?;
@@ -432,7 +391,7 @@ fn put_worker(p: &mut BytesMut, w: &WorkerCheckpoint) {
     for &load in &w.distributor.workload {
         p.put_f64_le(load);
     }
-    put_stats(p, &w.stats);
+    put_counters(p, &w.stats);
     p.put_u64_le(w.emitted_this_superstep);
     p.put_u32_le(w.emitted_superstep);
     p.put_u8(u8::from(w.failed));
@@ -463,7 +422,7 @@ fn read_worker(r: &mut Reader<'_>, harvest_mode: u8) -> Result<WorkerCheckpoint,
     for _ in 0..n_load {
         workload.push(r.f64()?);
     }
-    let stats = read_stats(r)?;
+    let stats = read_counters(r)?;
     let emitted_this_superstep = r.u64()?;
     let emitted_superstep = r.u32()?;
     let failed = r.u8()? != 0;
@@ -589,54 +548,26 @@ fn decode_strategy(tag: u8, alpha: f64) -> Result<Strategy, CheckpointError> {
     }
 }
 
-fn put_stats(p: &mut BytesMut, s: &ExpandStats) {
-    for v in [
-        s.expanded,
-        s.generated,
-        s.results,
-        s.pruned_injectivity,
-        s.pruned_degree,
-        s.pruned_order,
-        s.pruned_connectivity,
-        s.pruned_label,
-        s.died_gray_check,
-        s.died_no_candidates,
-        s.combinations_examined,
-        s.index_probes,
-        s.cost,
-        s.kernel_close,
-        s.kernel_twohop,
-        s.cmap_probes,
-        s.cmap_hits,
-        s.intersect_gallop,
-        s.intersect_probe,
-    ] {
+/// Writes a counter block: the table's counter count and name hash, then
+/// one u64 per counter in table order.
+fn put_counters<C: CounterTable>(p: &mut BytesMut, counters: &C) {
+    p.put_u32_le(C::NAMES.len() as u32);
+    p.put_u32_le(C::NAME_HASH);
+    for &v in counters.to_array().as_ref() {
         p.put_u64_le(v);
     }
 }
 
-fn read_stats(r: &mut Reader<'_>) -> Result<ExpandStats, CheckpointError> {
-    Ok(ExpandStats {
-        expanded: r.u64()?,
-        generated: r.u64()?,
-        results: r.u64()?,
-        pruned_injectivity: r.u64()?,
-        pruned_degree: r.u64()?,
-        pruned_order: r.u64()?,
-        pruned_connectivity: r.u64()?,
-        pruned_label: r.u64()?,
-        died_gray_check: r.u64()?,
-        died_no_candidates: r.u64()?,
-        combinations_examined: r.u64()?,
-        index_probes: r.u64()?,
-        cost: r.u64()?,
-        kernel_close: r.u64()?,
-        kernel_twohop: r.u64()?,
-        cmap_probes: r.u64()?,
-        cmap_hits: r.u64()?,
-        intersect_gallop: r.u64()?,
-        intersect_probe: r.u64()?,
-    })
+/// Reads a counter block written by [`put_counters`], rejecting one whose
+/// count or name hash does not match table `C`.
+fn read_counters<C: CounterTable>(r: &mut Reader<'_>) -> Result<C, CheckpointError> {
+    let (count, hash) = (r.u32()?, r.u32()?);
+    psgl_obs::check_header::<C>(count.into(), hash.into()).map_err(CheckpointError::new)?;
+    let mut values = C::Array::default();
+    for v in values.as_mut() {
+        *v = r.u64()?;
+    }
+    Ok(C::from_array(values))
 }
 
 /// Bounds-checked little-endian cursor; every read can fail instead of
@@ -683,6 +614,8 @@ impl Reader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, collection, proptest, ProptestConfig};
+    use psgl_bsp::{NetSuperstepMetrics, WorkerSuperstepMetrics};
 
     fn sample() -> Checkpoint {
         let mut g = Gpsi::initial(0, 7);
@@ -715,7 +648,7 @@ mod tests {
                         messages_in: 2,
                         messages_out: 9,
                         cost: 11,
-                        elapsed: Duration::from_nanos(1234),
+                        elapsed_nanos: 1234,
                         ..Default::default()
                     },
                     WorkerSuperstepMetrics::default(),
@@ -820,6 +753,9 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(Checkpoint::from_bytes(&bad).is_err());
+        // The previous layout's magic is refused, never misread.
+        bad[..8].copy_from_slice(b"PSGLCKP1");
+        assert!(Checkpoint::from_bytes(&bad).unwrap_err().message.contains("not a PSGLCKP2"));
         assert!(Checkpoint::from_bytes(&[]).is_err());
     }
 
@@ -854,5 +790,84 @@ mod tests {
         assert_eq!(t, pattern_hash(&catalog::triangle()));
         assert_ne!(t, pattern_hash(&catalog::square()));
         assert_ne!(pattern_hash(&catalog::path(3)), pattern_hash(&catalog::triangle()));
+    }
+
+    /// A counter block of table `C` filled from the front of `raw`.
+    fn block_of<C: CounterTable>(raw: &[u64]) -> C {
+        let mut values = C::Array::default();
+        let n = values.as_ref().len();
+        values.as_mut().copy_from_slice(&raw[..n]);
+        C::from_array(values)
+    }
+
+    /// Encodes one block, decodes it back, and checks every truncation of
+    /// the encoding fails with a `CheckpointError` rather than a panic.
+    fn roundtrip_block<C: CounterTable + PartialEq + std::fmt::Debug>(raw: &[u64]) {
+        let block: C = block_of(raw);
+        let mut p = BytesMut::new();
+        put_counters(&mut p, &block);
+        let bytes = p.to_vec();
+        assert_eq!(bytes.len(), 8 + 8 * C::NAMES.len());
+        let mut r = Reader { data: &bytes };
+        assert_eq!(read_counters::<C>(&mut r).unwrap(), block);
+        assert!(r.data.is_empty());
+        for cut in 0..bytes.len() {
+            let err = read_counters::<C>(&mut Reader { data: &bytes[..cut] }).unwrap_err();
+            assert_eq!(err.message, "truncated checkpoint");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn counter_blocks_roundtrip_and_reject_truncation(
+            raw in collection::vec(any::<u64>(), ExpandStats::NAMES.len())
+        ) {
+            roundtrip_block::<ExpandStats>(&raw);
+            roundtrip_block::<CarriedCounters>(&raw);
+            roundtrip_block::<WorkerSuperstepMetrics>(&raw);
+            roundtrip_block::<NetSuperstepMetrics>(&raw);
+        }
+    }
+
+    /// Re-seals `bytes` after `tamper` rewrote the header of the first
+    /// counter block of table `C` in its payload.
+    fn tamper_header<C: CounterTable>(
+        magic: &[u8; 8],
+        bytes: &[u8],
+        tamper: impl Fn(&mut [u8]),
+    ) -> Vec<u8> {
+        let mut payload = bytes[8..bytes.len() - 8].to_vec();
+        let mut header = (C::NAMES.len() as u32).to_le_bytes().to_vec();
+        header.extend_from_slice(&C::NAME_HASH.to_le_bytes());
+        let at = payload.windows(8).position(|w| w == header).expect("block header present");
+        tamper(&mut payload[at..at + 8]);
+        seal(magic, &payload)
+    }
+
+    #[test]
+    fn foreign_counter_blocks_are_rejected_in_checkpoints_and_shards() {
+        let cp = sample();
+        let shard = CheckpointShard {
+            guard: cp.guard,
+            partition: 0,
+            superstep: cp.superstep,
+            worker: cp.workers[0].clone(),
+            frontier: cp.frontier[0].clone(),
+        };
+        let wrong_count = |h: &mut [u8]| h[0] = h[0].wrapping_add(1);
+        let wrong_hash = |h: &mut [u8]| h[4] ^= 1;
+        for (what, tamper) in [("count", &wrong_count as &dyn Fn(&mut [u8])), ("hash", &wrong_hash)]
+        {
+            let bad = tamper_header::<CarriedCounters>(MAGIC, &cp.to_bytes(), tamper);
+            let err = Checkpoint::from_bytes(&bad).unwrap_err();
+            assert!(err.message.starts_with("CarriedCounters block"), "{what}: {err}");
+            let bad = tamper_header::<WorkerSuperstepMetrics>(MAGIC, &cp.to_bytes(), tamper);
+            let err = Checkpoint::from_bytes(&bad).unwrap_err();
+            assert!(err.message.starts_with("WorkerSuperstepMetrics block"), "{what}: {err}");
+            let bad = tamper_header::<ExpandStats>(SHARD_MAGIC, &shard.to_bytes(), tamper);
+            let err = CheckpointShard::from_bytes(&bad).unwrap_err();
+            assert!(err.message.starts_with("ExpandStats block"), "{what}: {err}");
+        }
     }
 }

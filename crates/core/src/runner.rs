@@ -25,6 +25,7 @@ use psgl_bsp::{
 use psgl_graph::hash::hash_u64;
 use psgl_graph::partition::HashPartitioner;
 use psgl_graph::VertexId;
+use psgl_obs::CounterTable;
 use psgl_pattern::Pattern;
 
 /// Result of a listing run.
@@ -725,40 +726,41 @@ fn restore_from_shards(
 /// metrics. Public so the cluster coordinator can aggregate worker
 /// metrics into the same stats shape a single-process run reports.
 pub fn assemble_run_stats(expand: ExpandStats, metrics: &EngineMetrics) -> RunStats {
+    let (c, net, work) = (&metrics.counters, metrics.total_net(), metrics.total_workers());
     RunStats {
         expand,
         per_worker_cost: metrics.per_worker_cost(),
         simulated_makespan: metrics.simulated_makespan(),
         supersteps: metrics.superstep_count(),
-        messages: metrics.total_messages(),
-        messages_local: metrics.total_local_delivered(),
-        chunks_stolen: metrics.total_chunks_stolen(),
-        bytes_exchanged: metrics.total_bytes_exchanged(),
+        messages: work.messages_out,
+        messages_local: work.local_delivered,
+        chunks_stolen: work.chunks_stolen,
+        bytes_exchanged: work.bytes_exchanged,
         messages_out_per_superstep: metrics.supersteps.iter().map(|s| s.messages_out()).collect(),
         messages_in_per_superstep: metrics
             .supersteps
             .iter()
             .map(|s| s.workers.iter().map(|w| w.messages_in).sum())
             .collect(),
-        pool_exhausted: metrics.pool_exhausted,
+        pool_exhausted: c.pool_exhausted,
         chunks_outstanding: metrics.chunks_outstanding,
-        chunks_live_peak: metrics.chunks_live_peak,
-        spill_chunks: metrics.spill_chunks,
-        spill_bytes: metrics.spill_bytes,
-        spill_stall_ms: metrics.spill_stall_nanos / 1_000_000,
-        readmitted_chunks: metrics.readmitted_chunks,
+        chunks_live_peak: c.chunks_live_peak,
+        spill_chunks: c.spill_chunks,
+        spill_bytes: c.spill_bytes,
+        spill_stall_ms: c.spill_stall_nanos / 1_000_000,
+        readmitted_chunks: c.readmitted_chunks,
         wall_time: metrics.wall_time,
         cost_imbalance: metrics.cost_imbalance(),
-        frames_sent: metrics.total_frames_sent(),
-        frames_received: metrics.total_frames_received(),
-        wire_bytes_sent: metrics.total_wire_bytes_sent(),
-        wire_bytes_received: metrics.total_wire_bytes_received(),
-        barrier_wait_nanos: metrics.total_barrier_wait_nanos(),
+        frames_sent: net.frames_sent,
+        frames_received: net.frames_received,
+        wire_bytes_sent: net.wire_bytes_sent,
+        wire_bytes_received: net.wire_bytes_received,
+        barrier_wait_nanos: net.barrier_wait_nanos,
         barrier_wait_per_superstep: metrics.barrier_wait_per_superstep(),
         compute_nanos_per_superstep: metrics.compute_nanos_per_superstep(),
         exchange_nanos_per_superstep: metrics.exchange_nanos_per_superstep(),
         spill_stall_per_superstep: metrics.spill_stall_per_superstep(),
-        spill_write_failures: metrics.spill_write_failures,
+        spill_write_failures: c.spill_write_failures,
     }
 }
 
@@ -961,7 +963,7 @@ fn run_engine_seeded(
             let checkpoint = c.frontier.map(|frontier| Checkpoint {
                 guard,
                 superstep: c.superstep,
-                carried: CarriedCounters::of(&c.metrics),
+                carried: c.metrics.counters,
                 prior_supersteps: c.metrics.supersteps,
                 workers: c.worker_states.iter().map(snapshot_worker).collect(),
                 frontier,

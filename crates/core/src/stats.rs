@@ -5,77 +5,56 @@
 //! Figure 5 reports per-worker load, and Section 4.4's cost metrics are
 //! accumulated in Equation 2 units.
 
-/// Counters accumulated while expanding Gpsis (one per worker, merged at
-/// the end of a run).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExpandStats {
-    /// Gpsis expanded (Algorithm 1 invocations).
-    pub expanded: u64,
-    /// New Gpsis generated (including complete instances).
-    pub generated: u64,
-    /// Complete subgraph instances found.
-    pub results: u64,
-    /// Candidates rejected: data vertex already used (injectivity).
-    pub pruned_injectivity: u64,
-    /// Candidates rejected by the degree rule.
-    pub pruned_degree: u64,
-    /// Candidates rejected by the partial order from automorphism breaking.
-    pub pruned_order: u64,
-    /// Candidates rejected by the light-weight edge index (rule 2).
-    pub pruned_connectivity: u64,
-    /// Candidates rejected by a label mismatch (labeled matching only).
-    pub pruned_label: u64,
-    /// Gpsis that died because a GRAY edge check failed (Algorithm 2).
-    pub died_gray_check: u64,
-    /// Gpsis that died with an empty candidate set (Algorithm 5).
-    pub died_no_candidates: u64,
-    /// Candidate combinations examined during the cartesian-product step
-    /// (including ones pruned before becoming Gpsis) — the enumeration
-    /// work term of Equation 2.
-    pub combinations_examined: u64,
-    /// Edge-index probes issued.
-    pub index_probes: u64,
-    /// Accumulated cost in Equation 2 units.
-    pub cost: u64,
-    /// Expansions handled by the connectivity-map closing kernel.
-    pub kernel_close: u64,
-    /// Expansions handled by the two-hop (wedge-join) closing kernel.
-    pub kernel_twohop: u64,
-    /// Connectivity-map lookups performed by compiled kernels.
-    pub cmap_probes: u64,
-    /// Of `cmap_probes`, lookups that found the required connectivity.
-    pub cmap_hits: u64,
-    /// Exact adjacency checks taken down the galloping-merge path.
-    pub intersect_gallop: u64,
-    /// Adjacency intersections taken down the cmap mark-and-probe path
-    /// (one per marked adjacency list).
-    pub intersect_probe: u64,
+psgl_obs::counters! {
+    /// Counters accumulated while expanding Gpsis (one per worker, merged at
+    /// the end of a run).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ExpandStats {
+        /// Gpsis expanded (Algorithm 1 invocations).
+        pub expanded: u64 => Sum,
+        /// New Gpsis generated (including complete instances).
+        pub generated: u64 => Sum,
+        /// Complete subgraph instances found.
+        pub results: u64 => Sum,
+        /// Candidates rejected: data vertex already used (injectivity).
+        pub pruned_injectivity: u64 => Sum,
+        /// Candidates rejected by the degree rule.
+        pub pruned_degree: u64 => Sum,
+        /// Candidates rejected by the partial order from automorphism breaking.
+        pub pruned_order: u64 => Sum,
+        /// Candidates rejected by the light-weight edge index (rule 2).
+        pub pruned_connectivity: u64 => Sum,
+        /// Candidates rejected by a label mismatch (labeled matching only).
+        pub pruned_label: u64 => Sum,
+        /// Gpsis that died because a GRAY edge check failed (Algorithm 2).
+        pub died_gray_check: u64 => Sum,
+        /// Gpsis that died with an empty candidate set (Algorithm 5).
+        pub died_no_candidates: u64 => Sum,
+        /// Candidate combinations examined during the cartesian-product step
+        /// (including ones pruned before becoming Gpsis) — the enumeration
+        /// work term of Equation 2.
+        pub combinations_examined: u64 => Sum,
+        /// Edge-index probes issued.
+        pub index_probes: u64 => Sum,
+        /// Accumulated cost in Equation 2 units.
+        pub cost: u64 => Sum,
+        /// Expansions handled by the connectivity-map closing kernel.
+        pub kernel_close: u64 => Sum,
+        /// Expansions handled by the two-hop (wedge-join) closing kernel.
+        pub kernel_twohop: u64 => Sum,
+        /// Connectivity-map lookups performed by compiled kernels.
+        pub cmap_probes: u64 => Sum,
+        /// Of `cmap_probes`, lookups that found the required connectivity.
+        pub cmap_hits: u64 => Sum,
+        /// Exact adjacency checks taken down the galloping-merge path.
+        pub intersect_gallop: u64 => Sum,
+        /// Adjacency intersections taken down the cmap mark-and-probe path
+        /// (one per marked adjacency list).
+        pub intersect_probe: u64 => Sum,
+    }
 }
 
 impl ExpandStats {
-    /// Merges another worker's counters into this one.
-    pub fn merge(&mut self, other: &ExpandStats) {
-        self.expanded += other.expanded;
-        self.generated += other.generated;
-        self.results += other.results;
-        self.pruned_injectivity += other.pruned_injectivity;
-        self.pruned_degree += other.pruned_degree;
-        self.pruned_order += other.pruned_order;
-        self.pruned_connectivity += other.pruned_connectivity;
-        self.pruned_label += other.pruned_label;
-        self.died_gray_check += other.died_gray_check;
-        self.died_no_candidates += other.died_no_candidates;
-        self.combinations_examined += other.combinations_examined;
-        self.index_probes += other.index_probes;
-        self.cost += other.cost;
-        self.kernel_close += other.kernel_close;
-        self.kernel_twohop += other.kernel_twohop;
-        self.cmap_probes += other.cmap_probes;
-        self.cmap_hits += other.cmap_hits;
-        self.intersect_gallop += other.intersect_gallop;
-        self.intersect_probe += other.intersect_probe;
-    }
-
     /// Total candidates pruned by any rule.
     pub fn total_pruned(&self) -> u64 {
         self.pruned_injectivity
@@ -173,9 +152,22 @@ impl RunStats {
             })
             .collect()
     }
-}
 
-impl RunStats {
+    /// The run's pool and spill-tier counters as one block, the inverse of
+    /// [`assemble_run_stats`](crate::assemble_run_stats) for them. The
+    /// spill stall is known here only to the millisecond.
+    pub fn carried(&self) -> psgl_bsp::CarriedCounters {
+        psgl_bsp::CarriedCounters {
+            pool_exhausted: self.pool_exhausted,
+            spill_chunks: self.spill_chunks,
+            spill_bytes: self.spill_bytes,
+            spill_stall_nanos: self.spill_stall_ms * 1_000_000,
+            readmitted_chunks: self.readmitted_chunks,
+            spill_write_failures: self.spill_write_failures,
+            chunks_live_peak: self.chunks_live_peak,
+        }
+    }
+
     /// Fraction of messages that never crossed the exchange (0.0 for a run
     /// that sent no messages).
     pub fn local_delivery_ratio(&self) -> f64 {
@@ -189,46 +181,35 @@ impl RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psgl_obs::{CounterTable, Merge};
 
     #[test]
     fn merge_accumulates_every_field() {
-        let mut a = ExpandStats { expanded: 1, generated: 2, results: 3, ..Default::default() };
-        let b = ExpandStats {
-            expanded: 10,
-            generated: 20,
-            results: 30,
-            pruned_injectivity: 1,
-            pruned_degree: 2,
-            pruned_order: 3,
-            pruned_connectivity: 4,
-            pruned_label: 9,
-            died_gray_check: 5,
-            died_no_candidates: 6,
-            combinations_examined: 11,
-            index_probes: 7,
-            cost: 8,
-            kernel_close: 12,
-            kernel_twohop: 13,
-            cmap_probes: 14,
-            cmap_hits: 15,
-            intersect_gallop: 16,
-            intersect_probe: 17,
-        };
-        a.merge(&b);
-        assert_eq!(a.expanded, 11);
-        assert_eq!(a.generated, 22);
-        assert_eq!(a.results, 33);
-        assert_eq!(a.total_pruned(), 19);
-        assert_eq!(a.cost, 8);
-        assert_eq!(a.index_probes, 7);
-        assert_eq!(a.combinations_examined, 11);
-        assert_eq!(a.died_gray_check, 5);
-        assert_eq!(a.died_no_candidates, 6);
-        assert_eq!(a.kernel_close, 12);
-        assert_eq!(a.kernel_twohop, 13);
-        assert_eq!(a.cmap_probes, 14);
-        assert_eq!(a.cmap_hits, 15);
-        assert_eq!(a.intersect_gallop, 16);
-        assert_eq!(a.intersect_probe, 17);
+        // Distinct values per counter, so a merge that crossed two fields
+        // or skipped one shows up.
+        let mut a_vals = <ExpandStats as CounterTable>::Array::default();
+        let mut b_vals = a_vals;
+        for (i, (a, b)) in a_vals.iter_mut().zip(&mut b_vals).enumerate() {
+            (*a, *b) = (i as u64 + 1, 100 * (i as u64 + 1));
+        }
+        let mut merged = ExpandStats::from_array(a_vals);
+        merged.merge(&ExpandStats::from_array(b_vals));
+        for (i, name) in ExpandStats::NAMES.iter().enumerate() {
+            assert_eq!(ExpandStats::MERGE[i], Merge::Sum, "{name} is a total");
+            assert_eq!(merged.to_array()[i], 101 * (i as u64 + 1), "{name} did not accumulate");
+        }
+        assert_eq!(merged.total_pruned(), 101 * (4 + 5 + 6 + 7 + 8));
+    }
+
+    #[test]
+    fn carried_inverts_run_stats_assembly() {
+        let mut values = <psgl_bsp::CarriedCounters as CounterTable>::Array::default();
+        for (i, v) in values.iter_mut().enumerate() {
+            *v = (i as u64 + 1) * 1_000_000;
+        }
+        let counters = psgl_bsp::CarriedCounters::from_array(values);
+        let metrics = psgl_bsp::EngineMetrics { counters, ..Default::default() };
+        let stats = crate::assemble_run_stats(ExpandStats::default(), &metrics);
+        assert_eq!(stats.carried(), counters);
     }
 }

@@ -1,7 +1,10 @@
 //! Unified observability for the PSgL stack (DESIGN.md §15).
 //!
-//! Four pieces, all std-only and dependency-free:
+//! Five pieces, all std-only and dependency-free:
 //!
+//! * [`counters`](mod@counters) — the [`counters!`] table that declares
+//!   each engine counter once and derives its merge rule, codec order and
+//!   name hash.
 //! * [`metrics`] — a typed counter/gauge/histogram registry. Handles are
 //!   registered once per name and are lock-free on the hot path (plain
 //!   atomic cells; [`metrics::ShardedCounter`] pads per-worker cells and
@@ -18,12 +21,14 @@
 //!   snapshot, and a threshold-triggered slow-query log carrying the
 //!   per-superstep compute / barrier / spill-stall / exchange timeline.
 
+pub mod counters;
 pub mod expo;
 pub mod metrics;
 pub mod recorder;
 pub mod slowlog;
 pub mod trace;
 
+pub use counters::{check_header, CounterTable, CounterValue, Merge};
 pub use expo::{render_json, render_prometheus};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry,

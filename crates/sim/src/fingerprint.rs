@@ -10,6 +10,7 @@
 
 use psgl_core::runner::ListingResult;
 use psgl_core::stats::RunStats;
+use psgl_obs::CounterTable;
 
 use crate::sched::splitmix64;
 
@@ -37,28 +38,7 @@ impl Mixer {
 /// Digest of a [`RunStats`], excluding the nondeterministic `wall_time`.
 pub fn fingerprint_stats(stats: &RunStats) -> u64 {
     let mut m = Mixer::new();
-    let e = &stats.expand;
-    for w in [
-        e.expanded,
-        e.generated,
-        e.results,
-        e.pruned_injectivity,
-        e.pruned_degree,
-        e.pruned_order,
-        e.pruned_connectivity,
-        e.pruned_label,
-        e.died_gray_check,
-        e.died_no_candidates,
-        e.combinations_examined,
-        e.index_probes,
-        e.cost,
-        e.kernel_close,
-        e.kernel_twohop,
-        e.cmap_probes,
-        e.cmap_hits,
-        e.intersect_gallop,
-        e.intersect_probe,
-    ] {
+    for w in stats.expand.to_array() {
         m.mix(w);
     }
     m.mix_slice(&stats.per_worker_cost);
@@ -98,6 +78,7 @@ pub fn fingerprint_run(result: &ListingResult) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psgl_core::ExpandStats;
 
     #[test]
     fn wall_time_does_not_influence_the_digest() {
@@ -117,7 +98,12 @@ mod tests {
             fingerprint_stats(&s)
         };
         let reference = fingerprint_stats(&base);
-        assert_ne!(with(&|s| s.expand.results = 1), reference);
+        for i in 0..ExpandStats::NAMES.len() {
+            let mut values = <ExpandStats as CounterTable>::Array::default();
+            values[i] = 1;
+            let expand = ExpandStats::from_array(values);
+            assert_ne!(with(&|s| s.expand = expand), reference, "{}", ExpandStats::NAMES[i]);
+        }
         assert_ne!(with(&|s| s.per_worker_cost = vec![1]), reference);
         assert_ne!(with(&|s| s.messages_out_per_superstep = vec![3]), reference);
         assert_ne!(with(&|s| s.pool_exhausted = 1), reference);

@@ -5,16 +5,67 @@
 //! without budgets, chunk-pool exhaustion, partition skew, exchange
 //! shuffles, checkpointed suspend/resume, forced slice-boundary
 //! preemptions — and must match the centralized oracle's instance count
-//! exactly with zero invariant violations.
+//! exactly with zero invariant violations, and reproduce the replay
+//! fingerprint pinned for it in `corpus/fingerprints.txt`.
 
 use psgl_core::Strategy;
 use psgl_sim::chaos::chaos_patterns;
 use psgl_sim::Scenario;
+use std::collections::HashMap;
 
 const SEEDS_PER_CELL: u64 = 14;
 
+/// The pinned fingerprints of one set (`suite` or `corpus`), by seed.
+fn pinned(set: &str) -> HashMap<u64, u64> {
+    let text = include_str!("../corpus/fingerprints.txt");
+    let mut pins = HashMap::new();
+    for line in text.lines().filter(|l| !l.starts_with('#') && !l.trim().is_empty()) {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let [kind, seed, fp] = fields[..] else { panic!("bad fingerprint line {line:?}") };
+        if kind == set {
+            let fp = u64::from_str_radix(fp, 16).expect("hex fingerprint");
+            pins.insert(seed.parse().expect("numeric seed"), fp);
+        }
+    }
+    pins
+}
+
+/// Compares a run's fingerprint with its pin, recording any mismatch.
+fn check_pin(pins: &HashMap<u64, u64>, seed: u64, got: u64, failures: &mut Vec<String>) {
+    match pins.get(&seed) {
+        Some(&want) if want == got => {}
+        Some(&want) => {
+            failures.push(format!("seed {seed}: fingerprint {got:016x}, pinned {want:016x}"))
+        }
+        None => failures.push(format!("seed {seed}: no pinned fingerprint")),
+    }
+}
+
+#[test]
+fn every_corpus_seed_reproduces_its_pinned_fingerprint() {
+    let pins = pinned("corpus");
+    let corpus = include_str!("../corpus/seeds.txt");
+    let mut failures = Vec::new();
+    let mut seeds = 0;
+    for line in corpus.lines() {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            continue;
+        }
+        let seed: u64 = line.parse().expect("numeric corpus seed");
+        seeds += 1;
+        match Scenario::from_seed(seed).run() {
+            Ok(report) => check_pin(&pins, seed, report.fingerprint, &mut failures),
+            Err(failure) => failures.push(failure.to_string()),
+        }
+    }
+    assert_eq!(seeds, pins.len(), "every corpus seed has exactly one pin");
+    assert!(failures.is_empty(), "corpus drifted:\n{}", failures.join("\n"));
+}
+
 #[test]
 fn two_hundred_plus_scenarios_keep_oracle_parity_under_chaos() {
+    let pins = pinned("suite");
     let patterns = chaos_patterns();
     let mut scenarios_run = 0u64;
     let mut failures = Vec::new();
@@ -38,6 +89,7 @@ fn two_hundred_plus_scenarios_keep_oracle_parity_under_chaos() {
                 scenarios_run += 1;
                 match scenario.run() {
                     Ok(report) => {
+                        check_pin(&pins, seed, report.fingerprint, &mut failures);
                         resumed += u64::from(report.resumed_at.is_some());
                         preempted += u64::from(report.preempted_slices.is_some());
                     }
@@ -47,6 +99,7 @@ fn two_hundred_plus_scenarios_keep_oracle_parity_under_chaos() {
         }
     }
     assert!(scenarios_run >= 200, "suite must cover >= 200 scenarios, ran {scenarios_run}");
+    assert_eq!(scenarios_run, pins.len() as u64, "every suite scenario has exactly one pin");
     // Every fault class must actually have been exercised by the sweep.
     let (steal, pool, skew, stall, shuffle, cancel, preempt) = fault_coverage;
     assert!(steal > 0 && pool > 0 && skew > 0 && stall > 0 && shuffle > 0 && cancel > 0 && preempt > 0,
