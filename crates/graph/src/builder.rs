@@ -10,6 +10,8 @@
 
 use crate::csr::{DataGraph, VertexId};
 use crate::error::GraphError;
+use crate::par::{halves, map_parallel, split_in_two, split_lengths};
+use std::ops::Range;
 
 /// Accumulates raw (possibly directed / duplicated) edges and produces a
 /// clean [`DataGraph`].
@@ -75,75 +77,167 @@ impl GraphBuilder {
     /// eliminated by remapping the touched vertices onto a dense `0..n'`
     /// id space (ids keep their relative order).
     pub fn build(self) -> Result<DataGraph, GraphError> {
-        let mut touched: Vec<VertexId> =
-            self.edges.iter().filter(|(u, v)| u != v).flat_map(|&(u, v)| [u, v]).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let n = touched.len();
-        // Dense remap: old id -> new id via binary search over `touched`
-        // (memory-lean versus a full lookup table when ids are sparse).
-        let remap = |x: VertexId| touched.binary_search(&x).unwrap() as VertexId;
-        let edges: Vec<(VertexId, VertexId)> = self
-            .edges
-            .into_iter()
-            .filter(|(u, v)| u != v)
-            .map(|(u, v)| (remap(u), remap(v)))
-            .collect();
+        let mut edges = self.edges;
+        edges.retain(|(u, v)| u != v);
+        let n = compact_ids(&mut edges);
         Ok(build_csr(n, edges))
+    }
+
+    /// A builder owning `edges` as its raw edges, without copying them.
+    pub(crate) fn from_raw_edges(edges: Vec<(VertexId, VertexId)>) -> Self {
+        GraphBuilder { edges }
     }
 }
 
-/// Symmetrizes, sorts, dedups and packs `edges` into CSR. Self-loops must
-/// already be acceptable to drop; endpoints must be `< n`.
+/// Renumbers the endpoints of `edges` in place onto `0..n` keeping their
+/// relative order, and returns `n`, the number of distinct endpoints.
+///
+/// Ids are usually dense (at most the endpoint count), and then a lookup
+/// table indexed by id does it in linear time; the table has at most one
+/// slot per endpoint, so it is never larger than the edge list. Sparse ids,
+/// e.g. hashes near `u32::MAX`, take a sort of the endpoints and a binary
+/// search per endpoint instead.
+fn compact_ids(edges: &mut [(VertexId, VertexId)]) -> usize {
+    let Some(max) = edges.iter().map(|&(u, v)| u.max(v)).max() else { return 0 };
+    if (max as usize) < 2 * edges.len() {
+        compact_by_table(edges, max)
+    } else {
+        compact_by_sort(edges)
+    }
+}
+
+/// [`compact_ids`] through a table over `0..=max`, the largest endpoint.
+fn compact_by_table(edges: &mut [(VertexId, VertexId)], max: VertexId) -> usize {
+    let mut table = vec![0 as VertexId; max as usize + 1];
+    for &(u, v) in edges.iter() {
+        table[u as usize] = 1;
+        table[v as usize] = 1;
+    }
+    let mut n: VertexId = 0;
+    for slot in &mut table {
+        let touched = *slot;
+        *slot = n;
+        n += touched;
+    }
+    // Every id in 0..=max touched: the renumbering is the identity.
+    if n as usize != table.len() {
+        for (u, v) in edges.iter_mut() {
+            *u = table[*u as usize];
+            *v = table[*v as usize];
+        }
+    }
+    n as usize
+}
+
+/// [`compact_ids`] through the sorted distinct endpoints.
+fn compact_by_sort(edges: &mut [(VertexId, VertexId)]) -> usize {
+    let mut touched: Vec<VertexId> = edges.iter().flat_map(|&(u, v)| [u, v]).collect();
+    touched.sort_unstable();
+    touched.dedup();
+    let remap =
+        |x: VertexId| touched.binary_search(&x).expect("every endpoint is touched") as VertexId;
+    for (u, v) in edges.iter_mut() {
+        *u = remap(*u);
+        *v = remap(*v);
+    }
+    touched.len()
+}
+
+/// Symmetrizes, sorts, dedups and packs `edges` into CSR, dropping
+/// self-loops; endpoints must be `< n`.
+///
+/// When [`split_in_two`] says so, two threads share the work by vertex:
+/// each scans every edge but counts, scatters and sorts only the endpoints
+/// of its own half of the vertices, so they write disjoint memory. One
+/// offsets array serves as degree counter, scatter cursor and final
+/// offsets.
 fn build_csr(n: usize, edges: Vec<(VertexId, VertexId)>) -> DataGraph {
-    // Count both directions, dropping loops.
-    let mut degree = vec![0u64; n + 1];
-    for &(u, v) in &edges {
-        if u != v {
-            degree[u as usize + 1] += 1;
-            degree[v as usize + 1] += 1;
-        }
-    }
-    // Prefix sums (provisional offsets, before dedup).
-    let mut offsets = degree;
-    for i in 1..=n {
-        offsets[i] += offsets[i - 1];
-    }
-    let mut adjacency = vec![0 as VertexId; offsets[n] as usize];
-    let mut cursor = offsets.clone();
-    for &(u, v) in &edges {
-        if u != v {
-            adjacency[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-            adjacency[cursor[v as usize] as usize] = u;
-            cursor[v as usize] += 1;
-        }
-    }
-    // Sort each run and dedup in place, compacting as we go.
-    let mut write = 0usize;
-    let mut final_offsets = vec![0u64; n + 1];
-    let mut read_start = 0usize;
-    for v in 0..n {
-        let read_end = offsets[v + 1] as usize;
-        let run = &mut adjacency[read_start..read_end];
-        run.sort_unstable();
-        let mut prev: Option<VertexId> = None;
-        let mut local_write = write;
-        for i in read_start..read_end {
-            let x = adjacency[i];
-            if prev != Some(x) {
-                adjacency[local_write] = x;
-                local_write += 1;
-                prev = Some(x);
+    let parallel = split_in_two(2 * edges.len());
+    build_csr_split(n, edges, parallel)
+}
+
+/// [`build_csr`] with the thread choice made.
+fn build_csr_split(n: usize, edges: Vec<(VertexId, VertexId)>, parallel: bool) -> DataGraph {
+    let lengths =
+        |halves: &[Range<usize>]| halves.iter().map(ExactSizeIterator::len).collect::<Vec<_>>();
+    // offsets[v + 1] = degree of v, both directions.
+    let mut offsets = vec![0u64; n + 1];
+    let count = halves(n, n / 2, parallel);
+    let degrees = split_lengths(&mut offsets[1..], lengths(&count));
+    map_parallel(count.into_iter().zip(degrees).collect(), |(range, degree)| {
+        for &(u, v) in edges.iter().filter(|(u, v)| u != v) {
+            for x in [u, v] {
+                if let Some(d) = degree.get_mut((x as usize).wrapping_sub(range.start)) {
+                    *d += 1;
+                }
             }
         }
-        write = local_write;
-        final_offsets[v + 1] = write as u64;
-        read_start = read_end;
+    });
+    // offsets[v + 1] becomes the start of v's run; the scatter advances it
+    // to the run's end.
+    let mut total = 0u64;
+    for slot in &mut offsets[1..] {
+        let degree = *slot;
+        *slot = total;
+        total += degree;
     }
-    adjacency.truncate(write);
+    let start = |offsets: &[u64], v: usize| if v < n { offsets[v + 1] } else { total };
+    let halves = halves(n, offsets[1..].partition_point(|&s| s < total / 2), parallel);
+    let bases: Vec<u64> = halves.iter().map(|r| start(&offsets, r.start)).collect();
+    let regions: Vec<usize> = halves
+        .iter()
+        .map(|r| (start(&offsets, r.end) - start(&offsets, r.start)) as usize)
+        .collect();
+    let mut adjacency = vec![0 as VertexId; total as usize];
+    let cursors = split_lengths(&mut offsets[1..], lengths(&halves));
+    let parts = split_lengths(&mut adjacency, regions);
+    let items = halves.iter().zip(&bases).zip(cursors.into_iter().zip(parts)).collect();
+    let compacted = map_parallel(items, |((range, &base), (cursor, adj))| {
+        for &(u, v) in edges.iter().filter(|(u, v)| u != v) {
+            for (x, y) in [(u, v), (v, u)] {
+                if let Some(c) = cursor.get_mut((x as usize).wrapping_sub(range.start)) {
+                    adj[(*c - base) as usize] = y;
+                    *c += 1;
+                }
+            }
+        }
+        // Sort each run and dedup it, compacting toward the front of the
+        // half's region; a cursor is read as its run's end before it is
+        // rewritten as the compacted end, relative to the region.
+        let (mut write, mut read_start) = (0, 0);
+        for end in cursor.iter_mut() {
+            let read_end = (*end - base) as usize;
+            let run = &mut adj[read_start..read_end];
+            // An edge list given in order scatters into sorted runs.
+            if !run.is_sorted() {
+                run.sort_unstable();
+            }
+            let mut prev = None;
+            for i in read_start..read_end {
+                let x = adj[i];
+                if prev != Some(x) {
+                    adj[write] = x;
+                    write += 1;
+                    prev = Some(x);
+                }
+            }
+            *end = write as u64;
+            read_start = read_end;
+        }
+        write
+    });
+    drop(edges);
+    // Close the gap between the two halves' compacted regions.
+    if let [low, high] = compacted[..] {
+        let from = bases[1] as usize;
+        adjacency.copy_within(from..from + high, low);
+        for end in &mut offsets[halves[1].start + 1..] {
+            *end += low as u64;
+        }
+    }
+    adjacency.truncate(compacted.iter().sum());
     adjacency.shrink_to_fit();
-    DataGraph::from_csr(final_offsets, adjacency).expect("builder produced invalid CSR")
+    DataGraph::from_csr(offsets, adjacency).expect("builder produced invalid CSR")
 }
 
 #[cfg(test)]
@@ -208,6 +302,118 @@ mod tests {
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.degree(0), 2);
         assert!(g.is_symmetric());
+    }
+
+    /// The builder this module replaced: endpoints sorted and
+    /// binary-searched, a cursor array beside the offsets. The tests keep
+    /// it as the reference the linear-time build must match exactly.
+    fn reference_build(edges: &[(VertexId, VertexId)]) -> (Vec<u64>, Vec<VertexId>) {
+        let mut touched: Vec<VertexId> =
+            edges.iter().filter(|(u, v)| u != v).flat_map(|&(u, v)| [u, v]).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let n = touched.len();
+        let remap = |x: VertexId| touched.binary_search(&x).unwrap() as VertexId;
+        let edges: Vec<_> =
+            edges.iter().filter(|(u, v)| u != v).map(|&(u, v)| (remap(u), remap(v))).collect();
+        let mut offsets = vec![0u64; n + 1];
+        for &(u, v) in &edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        for i in 1..=n {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut adjacency = vec![0; offsets[n] as usize];
+        let mut cursor = offsets.clone();
+        for &(u, v) in &edges {
+            adjacency[cursor[u as usize] as usize] = v;
+            cursor[u as usize] += 1;
+            adjacency[cursor[v as usize] as usize] = u;
+            cursor[v as usize] += 1;
+        }
+        let mut final_offsets = vec![0u64; n + 1];
+        let mut out = Vec::new();
+        for v in 0..n {
+            let mut run = adjacency[offsets[v] as usize..offsets[v + 1] as usize].to_vec();
+            run.sort_unstable();
+            run.dedup();
+            out.extend(run);
+            final_offsets[v + 1] = out.len() as u64;
+        }
+        (final_offsets, out)
+    }
+
+    fn csr(g: &DataGraph) -> (Vec<u64>, Vec<VertexId>) {
+        (g.offsets().to_vec(), g.vertices().flat_map(|v| g.neighbors(v).to_vec()).collect())
+    }
+
+    /// Builds `edges` through the table and the sort remap in turn.
+    fn both_remaps(edges: &[(VertexId, VertexId)]) -> [(Vec<u64>, Vec<VertexId>); 2] {
+        let mut edges = edges.to_vec();
+        edges.retain(|(u, v)| u != v);
+        let max = edges.iter().map(|&(u, v)| u.max(v)).max().unwrap_or(0);
+        let mut by_table = edges.clone();
+        let n_table = if edges.is_empty() { 0 } else { compact_by_table(&mut by_table, max) };
+        let n_sort = compact_by_sort(&mut edges);
+        [csr(&build_csr(n_table, by_table)), csr(&build_csr(n_sort, edges))]
+    }
+
+    #[test]
+    fn table_and_sort_remaps_agree_on_dense_and_sparse_ids() {
+        let dense = [(3, 1), (1, 2), (2, 3), (5, 5), (0, 5), (3, 1)];
+        let sparse = [(900_000, 7), (7, 1_000_000), (1_000_000, 900_000), (9, 9), (8, 900_000)];
+        for edges in [&dense[..], &sparse[..], &[]] {
+            let [table, sort] = both_remaps(edges);
+            assert_eq!(table, sort);
+            assert_eq!(table, reference_build(edges));
+        }
+        // Ids near u32::MAX, far too sparse for a table.
+        let huge = [(4_000_000_000, 7), (7, u32::MAX), (u32::MAX, 4_000_000_000), (9, 9)];
+        let mut b = GraphBuilder::new();
+        for &(u, v) in &huge {
+            b.add_edge(u, v);
+        }
+        assert_eq!(csr(&b.build().unwrap()), reference_build(&huge));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn build_matches_the_reference_builder(
+            raw in proptest::collection::vec((0u32..60, 0u32..60), 0..80),
+            stretch in 1u32..20_000,
+        ) {
+            // `stretch` spreads the ids from dense to sparse.
+            let edges: Vec<_> = raw.iter().map(|&(u, v)| (u * stretch, v * stretch)).collect();
+            let [table, sort] = both_remaps(&edges);
+            let expected = reference_build(&edges);
+            proptest::prop_assert_eq!(&table, &expected);
+            proptest::prop_assert_eq!(&sort, &expected);
+            let mut b = GraphBuilder::new();
+            for &(u, v) in &edges {
+                b.add_edge(u, v);
+            }
+            proptest::prop_assert_eq!(csr(&b.build().unwrap()), expected);
+        }
+    }
+
+    #[test]
+    fn two_thread_csr_build_equals_one_thread() {
+        // Unordered, duplicated edges with loops, below and above the floor.
+        let mut state = 7u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) % bound) as VertexId
+        };
+        for (n, m) in [(0, 0), (1, 3), (40, 200), (3000, 50_000)] {
+            let edges: Vec<_> = (0..m).map(|_| (next(n.max(1)), next(n.max(1)))).collect();
+            let n = n as usize;
+            let serial = csr(&build_csr_split(n, edges.clone(), false));
+            assert_eq!(csr(&build_csr_split(n, edges.clone(), true)), serial, "n {n}");
+            let mut b = GraphBuilder::new();
+            edges.iter().for_each(|&(u, v)| b.add_edge(u, v));
+            assert_eq!(csr(&b.build_with_num_vertices(n).unwrap()), serial);
+        }
     }
 
     #[test]

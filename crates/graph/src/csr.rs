@@ -59,9 +59,10 @@ impl DataGraph {
                     )));
                 }
             }
-            if run.iter().any(|&u| u as usize >= n) {
+            // The run is increasing, so its last entry bounds it.
+            if run.last().is_some_and(|&u| u as usize >= n) {
                 return Err(GraphError::VertexOutOfRange {
-                    vertex: u64::from(*run.iter().find(|&&u| u as usize >= n).unwrap()),
+                    vertex: u64::from(run[run.partition_point(|&u| (u as usize) < n)]),
                     bound: n as u64,
                 });
             }
@@ -137,6 +138,12 @@ impl DataGraph {
     /// Maximum degree over all vertices (0 for the empty graph).
     pub fn max_degree(&self) -> u32 {
         self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
+    }
+
+    /// The CSR offsets: `offsets()[v]..offsets()[v + 1]` is `v`'s run.
+    #[inline]
+    pub(crate) fn offsets(&self) -> &[u64] {
+        &self.offsets
     }
 
     /// Sum of degrees = `2 * num_edges`.

@@ -33,6 +33,7 @@ pub mod generators;
 pub mod hash;
 pub mod io;
 pub mod order;
+mod par;
 pub mod partition;
 pub mod stats;
 

@@ -8,6 +8,7 @@
 //! initial-vertex rule exploits.
 
 use crate::csr::{DataGraph, VertexId};
+use crate::par::{halves, map_parallel, split_in_two, split_lengths};
 
 /// Total vertex order derived from `(degree, id)`, with per-vertex `nb`/`ns`
 /// counts precomputed and the adjacency split into its *oriented* halves:
@@ -37,15 +38,26 @@ pub struct OrderedGraph {
 
 impl OrderedGraph {
     /// Computes ranks, the `nb`/`ns` split and the oriented adjacency
-    /// halves for `g` in `O(n log n + m)`.
+    /// halves for `g` in `O(n + m)`.
     pub fn new(g: &DataGraph) -> Self {
-        let n = g.num_vertices();
-        let mut by_rank: Vec<VertexId> = (0..n as VertexId).collect();
-        by_rank.sort_unstable_by_key(|&v| (g.degree(v), v));
-        let mut rank = vec![0u32; n];
-        for (r, &v) in by_rank.iter().enumerate() {
-            rank[v as usize] = r as u32;
+        // Counting sort by degree: visiting ids in ascending order within
+        // each degree bucket breaks ties by id, which is the `(degree, id)`
+        // order.
+        let mut next = vec![0u32; g.max_degree() as usize + 2];
+        for v in g.vertices() {
+            next[g.degree(v) as usize + 1] += 1;
         }
+        for d in 1..next.len() {
+            next[d] += next[d - 1];
+        }
+        let rank = g
+            .vertices()
+            .map(|v| {
+                let slot = &mut next[g.degree(v) as usize];
+                *slot += 1;
+                *slot - 1
+            })
+            .collect();
         Self::from_rank(rank, g)
     }
 
@@ -68,21 +80,33 @@ impl OrderedGraph {
     }
 
     /// Derives `nb`/`ns` and the oriented CSR halves of `g` under a fixed
-    /// rank permutation in `O(n + m)`.
+    /// rank permutation in `O(n + m)`, on two threads over the two halves
+    /// of the adjacency when [`split_in_two`] says so.
     fn from_rank(rank: Vec<u32>, g: &DataGraph) -> Self {
+        Self::from_rank_split(rank, g, split_in_two(g.degree_sum() as usize))
+    }
+
+    /// [`Self::from_rank`] with the thread choice made: the second thread
+    /// takes the vertices from the one where half the adjacency is behind.
+    fn from_rank_split(rank: Vec<u32>, g: &DataGraph, parallel: bool) -> Self {
         let n = g.num_vertices();
+        let mid = g.offsets().partition_point(|&o| o < g.degree_sum() / 2).min(n);
+        let halves = halves(n, mid, parallel);
         let mut nb = vec![0u32; n];
         let mut ns = vec![0u32; n];
-        for v in g.vertices() {
-            let rv = rank[v as usize];
-            for &u in g.neighbors(v) {
-                if rank[u as usize] < rv {
-                    nb[v as usize] += 1;
-                } else {
-                    ns[v as usize] += 1;
-                }
+        let lengths = || halves.iter().map(ExactSizeIterator::len);
+        let parts =
+            split_lengths(&mut nb, lengths()).into_iter().zip(split_lengths(&mut ns, lengths()));
+        map_parallel(halves.iter().cloned().zip(parts).collect(), |(range, (nb, ns))| {
+            for ((v, nb), ns) in range.zip(nb).zip(ns) {
+                let v = v as VertexId;
+                let rv = rank[v as usize];
+                let below =
+                    g.neighbors(v).iter().filter(|&&u| rank[u as usize] < rv).count() as u32;
+                *nb = below;
+                *ns = g.degree(v) - below;
             }
-        }
+        });
         let mut fwd_off = vec![0u64; n + 1];
         let mut bwd_off = vec![0u64; n + 1];
         for v in 0..n {
@@ -91,22 +115,30 @@ impl OrderedGraph {
         }
         let mut fwd = vec![0 as VertexId; fwd_off[n] as usize];
         let mut bwd = vec![0 as VertexId; bwd_off[n] as usize];
-        let mut fcur = fwd_off.clone();
-        let mut bcur = bwd_off.clone();
-        for v in g.vertices() {
-            let rv = rank[v as usize];
-            // `neighbors(v)` is id-sorted, so each filtered half stays
-            // id-sorted without any extra sort.
-            for &u in g.neighbors(v) {
-                if rank[u as usize] < rv {
-                    bwd[bcur[v as usize] as usize] = u;
-                    bcur[v as usize] += 1;
-                } else {
-                    fwd[fcur[v as usize] as usize] = u;
-                    fcur[v as usize] += 1;
+        let entries = |off: &[u64]| -> Vec<usize> {
+            halves.iter().map(|r| (off[r.end] - off[r.start]) as usize).collect()
+        };
+        let parts = split_lengths(&mut fwd, entries(&fwd_off))
+            .into_iter()
+            .zip(split_lengths(&mut bwd, entries(&bwd_off)));
+        // Each half writes its vertices' oriented halves packed in vertex
+        // order. `neighbors(v)` is id-sorted, so each filtered half stays
+        // id-sorted without any extra sort.
+        map_parallel(halves.iter().cloned().zip(parts).collect(), |(range, (fwd, bwd))| {
+            let (mut f, mut b) = (0, 0);
+            for v in range {
+                let rv = rank[v];
+                for &u in g.neighbors(v as VertexId) {
+                    if rank[u as usize] < rv {
+                        bwd[b] = u;
+                        b += 1;
+                    } else {
+                        fwd[f] = u;
+                        f += 1;
+                    }
                 }
             }
-        }
+        });
         OrderedGraph { rank, nb, ns, fwd_off, fwd, bwd_off, bwd }
     }
 
@@ -225,6 +257,57 @@ mod tests {
         assert_eq!(by_rank, vec![1, 2, 3, 4, 0]);
         for (r, &v) in by_rank.iter().enumerate() {
             assert_eq!(o.rank(v) as usize, r);
+        }
+    }
+
+    /// The rank of `(degree, id)` by a comparison sort, as it was computed
+    /// before the counting sort.
+    fn sorted_rank(g: &DataGraph) -> Vec<u32> {
+        let mut by_rank: Vec<VertexId> = g.vertices().collect();
+        by_rank.sort_unstable_by_key(|&v| (g.degree(v), v));
+        let mut rank = vec![0u32; g.num_vertices()];
+        for (r, &v) in by_rank.iter().enumerate() {
+            rank[v as usize] = r as u32;
+        }
+        rank
+    }
+
+    fn assert_same(a: &OrderedGraph, b: &OrderedGraph) {
+        assert_eq!(a.rank, b.rank);
+        assert_eq!((&a.nb, &a.ns), (&b.nb, &b.ns));
+        assert_eq!((&a.fwd_off, &a.fwd), (&b.fwd_off, &b.fwd));
+        assert_eq!((&a.bwd_off, &a.bwd), (&b.bwd_off, &b.bwd));
+    }
+
+    #[test]
+    fn counting_sort_rank_equals_comparison_sort() {
+        let cycle: Vec<_> = (0..50u32).map(|v| (v, (v + 1) % 50)).collect();
+        let clique: Vec<_> = (0..9u32).flat_map(|u| (u + 1..9).map(move |v| (u, v))).collect();
+        let graphs = [
+            DataGraph::from_edges(0, &[]).unwrap(),
+            DataGraph::from_edges(4, &[]).unwrap(),
+            DataGraph::from_edges(50, &cycle).unwrap(),
+            DataGraph::from_edges(9, &clique).unwrap(),
+            star(),
+            crate::generators::chung_lu(2000, 6.0, 2.1, 3).unwrap(),
+        ];
+        for g in &graphs {
+            assert_eq!(OrderedGraph::new(g).rank, sorted_rank(g));
+        }
+    }
+
+    #[test]
+    fn parallel_split_equals_serial_below_and_above_the_floor() {
+        let small = crate::generators::chung_lu(500, 4.0, 2.3, 1).unwrap();
+        let large = crate::generators::chung_lu(20_000, 8.0, 2.5, 2).unwrap();
+        assert!((small.degree_sum() as usize) < crate::par::PARALLEL_FLOOR);
+        assert!((large.degree_sum() as usize) >= crate::par::PARALLEL_FLOOR);
+        for g in [&small, &large, &star(), &DataGraph::from_edges(0, &[]).unwrap()] {
+            let rank = sorted_rank(g);
+            let serial = OrderedGraph::from_rank_split(rank.clone(), g, false);
+            assert_same(&OrderedGraph::from_rank_split(rank, g, true), &serial);
+            assert_same(&OrderedGraph::new(g), &serial);
+            assert_same(&serial.reorient(g), &serial);
         }
     }
 

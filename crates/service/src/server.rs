@@ -161,6 +161,9 @@ pub fn serve_with_state(
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
+                // Each reply is one write; sending it at once keeps a
+                // reply from waiting on the client's delayed ACK.
+                let _ = stream.set_nodelay(true);
                 state.stats.connections.inc();
                 let conn = Connection {
                     state: Arc::clone(&state),

@@ -103,9 +103,14 @@ pub fn read_json(reader: &mut impl BufRead, limit: u64) -> Result<Option<Json>, 
     }
 }
 
-/// Writes one JSON document as a line and flushes.
+/// Writes one JSON document as a line and flushes. The line is formatted
+/// first and handed over in one `write_all`: formatting straight into a
+/// socket issues many small writes, and with Nagle's algorithm on, the
+/// tail of a reply then waits for the peer's delayed ACK (about 40 ms).
 pub fn write_json(writer: &mut impl Write, value: &Json) -> std::io::Result<()> {
-    writeln!(writer, "{value}")?;
+    let mut line = value.to_string();
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
     writer.flush()
 }
 
@@ -167,6 +172,41 @@ mod tests {
             Err(WireError::BadJson(_)) => {}
             other => panic!("expected BadJson, got {other:?}"),
         }
+    }
+
+    /// A writer that counts the `write` calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_reply_is_one_write() {
+        let reply = Json::obj([
+            ("ok", Json::from(true)),
+            ("instances", Json::from(52_768u64)),
+            ("stats", Json::obj([("wall_ms", Json::from(12u64)), ("note", Json::from("a b"))])),
+        ]);
+        let mut w = CountingWriter::default();
+        for replies in 1..=3 {
+            write_json(&mut w, &reply).unwrap();
+            assert_eq!(w.writes, replies);
+        }
+        let text = String::from_utf8(w.bytes).unwrap();
+        assert_eq!(text, format!("{reply}\n").repeat(3));
     }
 
     #[test]

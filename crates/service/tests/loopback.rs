@@ -328,7 +328,11 @@ fn loopback_tight_budget_rejects_each_time_but_never_poisons_the_connection() {
 /// a worker long enough to observe cancellation races deterministically.
 fn load_dense_graph(client: &mut Client, name: &str) -> std::path::PathBuf {
     use std::io::Write as _;
-    let path = std::env::temp_dir().join(format!("psgl-{name}-{}.txt", std::process::id()));
+    // One file per call: tests run in parallel, and one test removing a
+    // shared file could pull it from under another's `load`.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("psgl-{name}-{}-{call}.txt", std::process::id()));
     let mut f = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
     let (n, m) = (1_000u64, 30_000u64);
     let mut state = 0x5EEDu64;
